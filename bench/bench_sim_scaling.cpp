@@ -17,6 +17,10 @@
  * cross-checks that expectation values are bit-identical across SIMD
  * tiers and thread counts.
  *
+ * Always records the per-stage ledger (JSON "stages"): the fused
+ * spectrum's key build at 20 qubits and one 15-qubit noisy objective
+ * evaluation as permuqc runs it, each at one thread against a budget.
+ *
  * With --sweep, also runs the batched-sweep mode: a gammas x betas
  * angle grid evaluated (a) sequentially through one QaoaObjective and
  * (b) through the batched SweepEvaluator, gating >= 2x points/sec on
@@ -533,6 +537,104 @@ run_sweep_bench(std::int32_t hw_threads)
     return out;
 }
 
+/** The per-stage ledger (JSON "stages"): the two simulator stages the
+ *  QAOA jobs spend their time on, each against a budget that this
+ *  bench's exit status and tools/diff_bench.py enforce. Fixed sizes at
+ *  one thread, so a smoke run and a full run time the same work. */
+struct StageBench
+{
+    /** Key build of the fused cost batch: one RZZ per edge of the
+     *  n=20, 57-edge problem, baked from scratch. */
+    std::int32_t spectrum_n = 20;
+    std::int32_t spectrum_terms = 0;
+    double spectrum_build_ms = 0.0;
+    double spectrum_build_budget_ms = 30.0;
+    /** One noisy objective evaluation as permuqc runs it: 15 qubits
+     *  compiled for Mumbai at the best tier, calibration seed 7,
+     *  8 trajectories, 2000 shots; mean over a 4x4 angle grid. */
+    std::int32_t noisy_n = 15;
+    std::int32_t noisy_trajectories = 8;
+    std::int32_t noisy_shots = 2000;
+    std::int32_t noisy_evals = 0;
+    double noisy_eval_ms = 0.0;
+    double noisy_eval_budget_ms = 15.0;
+
+    bool
+    pass() const
+    {
+        return spectrum_build_ms <= spectrum_build_budget_ms &&
+               noisy_eval_ms <= noisy_eval_budget_ms;
+    }
+};
+
+/** Best-of-@p reps wall time of @p body in milliseconds, measured
+ *  again up to twice while over @p budget_ms: an unlucky timeslice
+ *  passes on a retry, a real regression fails all three. */
+template <typename Fn>
+double
+budgeted_ms(std::int32_t reps, double budget_ms, Fn&& body)
+{
+    double ms = time_best(reps, body).first * 1e3;
+    for (int attempt = 0; attempt < 2 && ms > budget_ms; ++attempt)
+        ms = time_best(reps, body).first * 1e3;
+    return ms;
+}
+
+StageBench
+run_stage_bench(std::int32_t reps, std::int32_t hw_threads)
+{
+    StageBench out;
+    common::set_num_threads(1);
+
+    auto spectrum_problem = problem::random_graph(out.spectrum_n, 0.3, 5);
+    out.spectrum_terms =
+        static_cast<std::int32_t>(spectrum_problem.edges().size());
+    out.spectrum_build_ms =
+        budgeted_ms(reps, out.spectrum_build_budget_ms, [&] {
+            sim::DiagonalBatch cost;
+            for (const auto& e : spectrum_problem.edges())
+                cost.add_rzz(e.a, e.b, 1.0);
+            return cost.baked_view(out.spectrum_n).keys[0];
+        });
+
+    auto device = arch::make_mumbai();
+    auto noise = arch::NoiseModel::calibrated(device, 7);
+    auto noisy_problem = problem::random_graph(out.noisy_n, 0.3, 5);
+    core::CompilerOptions compile_options;
+    compile_options.tier = core::CompileTier::Best;
+    auto compiled = core::compile(device, noisy_problem, compile_options);
+    const auto points = sim::sweep_grid(4, 4, 1);
+    out.noisy_evals = static_cast<std::int32_t>(points.size());
+    sim::QaoaObjective context(noisy_problem);
+    double noisy_sum = 0.0;
+    out.noisy_eval_ms =
+        budgeted_ms(reps, out.noisy_eval_budget_ms * out.noisy_evals, [&] {
+            noisy_sum = 0.0;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                sim::NoisySimOptions options;
+                options.trajectories = out.noisy_trajectories;
+                options.shots = out.noisy_shots;
+                options.seed = 1000 + i;
+                noisy_sum += context.noisy_expectation(
+                    compiled.circuit, noise, points[i], options);
+            }
+            return noisy_sum;
+        }) /
+        out.noisy_evals;
+    common::set_num_threads(hw_threads);
+
+    std::printf("\nstage ledger (1 thread):\n");
+    std::printf("spectrum build n=%d terms=%d:  %8.3f ms  (budget %.1f ms)\n",
+                out.spectrum_n, out.spectrum_terms, out.spectrum_build_ms,
+                out.spectrum_build_budget_ms);
+    std::printf("noisy eval n=%d mumbai %d traj %d shots:  %8.3f ms  "
+                "(budget %.1f ms, mean <C>=%.4f)\n",
+                out.noisy_n, out.noisy_trajectories, out.noisy_shots,
+                out.noisy_eval_ms, out.noisy_eval_budget_ms,
+                noisy_sum / out.noisy_evals);
+    return out;
+}
+
 } // namespace
 
 int
@@ -709,7 +811,10 @@ main(int argc, char** argv)
                 "(mainline cross-check err %.2e)\n",
                 bit_identical ? "yes" : "NO", cross_err);
 
-    // 7. Batched sweep mode (opt-in: --sweep).
+    // 7. Per-stage ledger.
+    const StageBench stages = run_stage_bench(reps, hw_threads);
+
+    // 8. Batched sweep mode (opt-in: --sweep).
     SweepBench sweep;
     if (with_sweep)
         sweep = run_sweep_bench(hw_threads);
@@ -744,14 +849,31 @@ main(int argc, char** argv)
             "  \"objective_amortized_seconds\": %.6f,\n"
             "  \"objective_speedup\": %.3f,\n"
             "  \"objective_bit_identical\": %s,\n"
-            "  \"objective_cross_check_err\": %.3e,\n",
+            "  \"objective_cross_check_err\": %.3e,\n"
+            "  \"stages\": {\n"
+            "    \"threads\": 1,\n"
+            "    \"spectrum_n\": %d,\n"
+            "    \"spectrum_terms\": %d,\n"
+            "    \"spectrum_build_ms\": %.4f,\n"
+            "    \"spectrum_build_budget_ms\": %.2f,\n"
+            "    \"noisy_n\": %d,\n"
+            "    \"noisy_trajectories\": %d,\n"
+            "    \"noisy_shots\": %d,\n"
+            "    \"noisy_evals\": %d,\n"
+            "    \"noisy_eval_ms\": %.4f,\n"
+            "    \"noisy_eval_budget_ms\": %.2f\n"
+            "  },\n",
             n, edges, angles.gamma.size(), hw_threads, shots, seed_s,
             fused_s, serial_s, unfused_s, linear_s, cdf_s, speedup,
             fusion_speedup, thread_speedup, sample_speedup, max_err,
             linear_chk == cdf_chk ? "true" : "false",
             sim::simd_tier_name(best_tier), obj_n, obj_iters, main_s,
             amort_s, obj_speedup, bit_identical ? "true" : "false",
-            cross_err);
+            cross_err, stages.spectrum_n, stages.spectrum_terms,
+            stages.spectrum_build_ms, stages.spectrum_build_budget_ms,
+            stages.noisy_n, stages.noisy_trajectories, stages.noisy_shots,
+            stages.noisy_evals, stages.noisy_eval_ms,
+            stages.noisy_eval_budget_ms);
         if (with_sweep) {
             std::fprintf(
                 json,
@@ -807,8 +929,10 @@ main(int argc, char** argv)
         std::printf("wrote BENCH_sim.json\n");
     }
     bench::write_metrics_sidecar("sim_scaling");
+    std::printf("stage budgets: %s\n", stages.pass() ? "PASS" : "FAIL");
     bool pass = speedup >= 2.0 && max_err < 1e-6 &&
-                obj_speedup >= 1.8 && bit_identical && cross_err < 1e-6;
+                obj_speedup >= 1.8 && bit_identical && cross_err < 1e-6 &&
+                stages.pass();
     if (with_sweep) {
         std::printf("sweep gate: %s\n", sweep.pass() ? "PASS" : "FAIL");
         pass = pass && sweep.pass();

@@ -1,8 +1,10 @@
 #include "diagonal.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 
 #include "common/error.h"
@@ -16,6 +18,132 @@ namespace permuq::sim {
 namespace {
 
 constexpr std::size_t kGrain = kKernelGrain;
+
+/** Four int32 lanes. GCC 12 at -O2 leaves a plain butterfly loop
+ *  scalar, so the strided passes below spell out their lanes. */
+using Lanes = std::int32_t __attribute__((vector_size(16)));
+
+Lanes
+load(const std::int32_t* p)
+{
+    Lanes v{};
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+store(std::int32_t* p, Lanes v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** True when the @p block keys at @p k are all zero. */
+bool
+all_zero(const std::int32_t* k, std::size_t block)
+{
+    Lanes any{};
+    for (std::size_t i = 0; i < block; i += 4)
+        any |= load(k + i);
+    return (any[0] | any[1] | any[2] | any[3]) == 0;
+}
+
+/** Butterfly passes at strides 1 and 2, fused per quad of keys. */
+void
+first_two_passes(std::int32_t* key, std::size_t size)
+{
+    for (std::size_t i = 0; i < size; i += 4) {
+        std::int32_t* k = key + i;
+        const std::int32_t s01 = k[0] + k[1], d01 = k[0] - k[1];
+        const std::int32_t s23 = k[2] + k[3], d23 = k[2] - k[3];
+        k[0] = s01 + s23;
+        k[1] = d01 + d23;
+        k[2] = s01 - s23;
+        k[3] = d01 - d23;
+    }
+}
+
+/**
+ * Butterfly passes (x, y) -> (x + y, x - y) at strides h, 2h, ... below
+ * @p h_end over @p size keys, four lanes wide (h >= 4). Two strides
+ * share one traversal while two remain. Each traversal enumerates the
+ * lane groups of its compact index space and expands them with
+ * insert_zero, so it parallelizes like the statevector kernels. The
+ * chunk bodies copy their captures to locals: memcpy stores may alias
+ * the closure, which would reload them after every store.
+ */
+void
+strided_passes(std::int32_t* key, std::size_t size, std::size_t h,
+               std::size_t h_end)
+{
+    for (; 4 * h <= h_end; h *= 4) {
+        common::parallel_for(
+            0, size / 16, kGrain / 16, [=](std::size_t b, std::size_t e) {
+                std::int32_t* const table = key;
+                const std::size_t step = h;
+                for (std::size_t g = b; g < e; ++g) {
+                    std::int32_t* k = table + insert_two_zeros(
+                                                  4 * g, step - 1,
+                                                  2 * step - 1);
+                    const Lanes v0 = load(k), v1 = load(k + step);
+                    const Lanes v2 = load(k + 2 * step);
+                    const Lanes v3 = load(k + 3 * step);
+                    const Lanes s0 = v0 + v1, d0 = v0 - v1;
+                    const Lanes s1 = v2 + v3, d1 = v2 - v3;
+                    store(k, s0 + s1);
+                    store(k + step, d0 + d1);
+                    store(k + 2 * step, s0 - s1);
+                    store(k + 3 * step, d0 - d1);
+                }
+            });
+    }
+    if (h < h_end) {
+        common::parallel_for(
+            0, size / 8, kGrain / 8, [=](std::size_t b, std::size_t e) {
+                std::int32_t* const table = key;
+                const std::size_t step = h;
+                for (std::size_t g = b; g < e; ++g) {
+                    std::int32_t* k = table + insert_zero(4 * g, step - 1);
+                    const Lanes x = load(k), y = load(k + step);
+                    store(k, x + y);
+                    store(k + step, x - y);
+                }
+            });
+    }
+}
+
+/**
+ * In-place Walsh–Hadamard transform of 2^n integer keys:
+ * key[i] <- sum_j key[j] * (-1)^popcount(i & j). Integer arithmetic,
+ * so the result is exact and independent of pass order and threads.
+ * Strides inside an L1-sized block run block by block, skipping
+ * blocks that are all zero: their passes leave them zero, and a
+ * batch's few scattered signs leave most blocks so. The strides
+ * across blocks then traverse the whole table, two per traversal.
+ */
+void
+walsh_hadamard(std::int32_t* key, std::size_t size)
+{
+    if (size < 4) {
+        if (size == 2) {
+            const std::int32_t x = key[0], y = key[1];
+            key[0] = x + y;
+            key[1] = x - y;
+        }
+        return;
+    }
+    const std::size_t block = std::min(size, kGrain);
+    common::parallel_for(
+        0, size / block, 1, [=](std::size_t b, std::size_t e) {
+            for (std::size_t blk = b; blk < e; ++blk) {
+                std::int32_t* k = key + blk * block;
+                if (all_zero(k, block))
+                    continue;
+                first_two_passes(k, block);
+                strided_passes(k, block, 4, block);
+            }
+        });
+    strided_passes(key, size, block, size);
+}
 
 } // namespace
 
@@ -104,25 +232,14 @@ DiagonalBatch::ensure_keys(std::int32_t num_qubits) const
         uniform_ = std::abs(coeff[t]) == quantum_;
 
     if (uniform_) {
-        std::vector<std::int8_t> sign(terms);
-        for (std::size_t t = 0; t < terms; ++t)
-            sign[t] = coeff[t] < 0.0 ? -1 : 1;
+        // key(i) = sum_t sign_t * (-1)^popcount(i & m_t) is the
+        // Walsh–Hadamard transform of the signs placed at their masks
+        // (bits at or above n never meet an index bit).
         keys_.assign(size, 0);
         dense_.clear();
-        std::int32_t* key = keys_.data();
-        const std::int8_t* sgn = sign.data();
-        // Term-outer / element-inner over L1-resident blocks: no
-        // cross-element dependency chain, so the popcount/add loop
-        // vectorizes instead of serializing on one accumulator.
-        common::parallel_for(
-            0, size, kGrain, [=](std::size_t b, std::size_t e) {
-                for (std::size_t t = 0; t < terms; ++t) {
-                    const std::uint64_t m = mask[t];
-                    const std::int32_t s = sgn[t];
-                    for (std::size_t i = b; i < e; ++i)
-                        key[i] += (std::popcount(i & m) & 1) ? -s : s;
-                }
-            });
+        for (std::size_t t = 0; t < terms; ++t)
+            keys_[mask[t] & (size - 1)] += coeff[t] < 0.0 ? -1 : 1;
+        walsh_hadamard(keys_.data(), size);
     } else {
         dense_.assign(size, 0.0);
         keys_.clear();

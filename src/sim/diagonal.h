@@ -28,8 +28,17 @@
  * so the sweep is one int32 load plus one complex multiply out of a
  * (2T+1)-entry phase look-up table — no trig per amplitude, and the
  * key table is reused across scales (QAOA reuses one edge-set batch
- * for every layer's gamma). Mixed-magnitude batches fall back to a
- * baked double-angle table with one polar() per amplitude.
+ * for every layer's gamma).
+ *
+ * The keys key(i) = sum_t sign_t * (-1)^popcount(i & mask_t) are the
+ * Walsh–Hadamard transform of the term signs placed at their masks:
+ * the bake adds sign_t at index mask_t & (2^n - 1) and runs n in-place
+ * integer butterfly passes, O(n 2^n) for any term count T (4096-key
+ * blocks that receive no sign skip their in-block passes). Integer
+ * arithmetic makes the table exact, so it is the same at any thread
+ * count. Mixed-magnitude batches fall back to a baked double-angle
+ * table, summed term by term (O(T 2^n)), with one polar() per
+ * amplitude.
  */
 #ifndef PERMUQ_SIM_DIAGONAL_H
 #define PERMUQ_SIM_DIAGONAL_H

@@ -31,11 +31,7 @@ max_cut(const graph::Graph& problem)
     fatal_unless(problem.num_vertices() <= kMaxSimQubits,
                  "exhaustive max cut supports up to " +
                      std::to_string(kMaxSimQubits) + " qubits");
-    std::int32_t best = 0;
-    std::uint64_t states = std::uint64_t(1) << problem.num_vertices();
-    for (std::uint64_t z = 0; z < states; ++z)
-        best = std::max(best, cut_value(problem, z));
-    return best;
+    return static_cast<std::int32_t>(QaoaObjective(problem).max_cut());
 }
 
 std::vector<double>

@@ -38,7 +38,8 @@ struct QaoaAngles
 /** Number of cut edges of basis state @p z. */
 std::int32_t cut_value(const graph::Graph& problem, std::uint64_t z);
 
-/** The maximum cut (exhaustive; n <= 26). */
+/** The maximum cut over all 2^n states (n <= 26), read off the cut
+ *  spectrum that QaoaObjective bakes. */
 std::int32_t max_cut(const graph::Graph& problem);
 
 /** Ideal (noiseless) expected cut value <C>. */

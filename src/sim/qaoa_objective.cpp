@@ -137,6 +137,13 @@ QaoaObjective::build(const std::vector<double>* weights)
     offset_ = total_weight / 2.0;
 }
 
+double
+QaoaObjective::max_cut() const
+{
+    return *std::max_element(cost_table_.begin(), cost_table_.end()) +
+           offset_;
+}
+
 std::size_t
 QaoaObjective::memory_bytes() const
 {

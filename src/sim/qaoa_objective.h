@@ -11,9 +11,9 @@
  *
  *  - the fused diagonal cost batch (keys baked once, reused by every
  *    layer of every evaluation at any gamma),
- *  - the baked cut-value spectrum, making cut(z) an O(1) lookup and
- *    the expectation one weighted-norm reduction — no per-shot or
- *    per-state edge scan,
+ *  - the baked cut-value spectrum, making cut(z) an O(1) lookup, the
+ *    expectation one weighted-norm reduction and max_cut() one scan
+ *    — no per-shot or per-state edge scan,
  *  - a scratch statevector reused across ideal evaluations,
  *  - per-circuit replay metadata (CX cost per op, edge weights) for
  *    the noisy path, cached across calls with the same compiled
@@ -70,6 +70,10 @@ class QaoaObjective
     {
         return cost_table_[z] + offset_;
     }
+
+    /** The maximum cut: the largest cut(z) over all 2^n basis states,
+     *  read off the baked spectrum. Exact for unweighted problems. */
+    double max_cut() const;
 
     /** Ideal (noiseless) expected cut <C> at @p angles. */
     double ideal_expectation(const QaoaAngles& angles);

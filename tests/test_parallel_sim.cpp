@@ -2,12 +2,15 @@
  * @file
  * Tests of the parallel simulation engine: bitwise equivalence of
  * parallel vs 1-thread execution, DiagonalBatch fusion vs the
- * per-gate reference, the CDF sampler vs the linear-scan sampler, the
+ * per-gate reference, its baked key and angle tables vs explicit
+ * Walsh sums, the CDF sampler vs the linear-scan sampler, the
  * deterministic reduction machinery, and the raised qubit cap.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -286,6 +289,110 @@ TEST(DiagonalBatchTest, BakedTableMatchesDirectApply)
                     baked.amplitudes()[i].real(), 1e-12);
         EXPECT_NEAR(direct.amplitudes()[i].imag(),
                     baked.amplitudes()[i].imag(), 1e-12);
+    }
+}
+
+/** sum_t weight_t * (-1)^popcount(i & mask_t), summed in term order. */
+template <typename T>
+T
+walsh_sum(std::size_t i, const std::vector<std::uint64_t>& masks,
+          const std::vector<T>& weights)
+{
+    T sum = 0;
+    for (std::size_t t = 0; t < masks.size(); ++t)
+        sum += (std::popcount(i & masks[t]) & 1) ? -weights[t] : weights[t];
+    return sum;
+}
+
+TEST(DiagonalBatchTest, UniformKeysAreExactWalshSums)
+{
+    // Every term below has |coeff| = pi/2 exactly: Z, RZ(+-pi),
+    // RZZ(+-pi) and CPHASE(+-2 pi), whose three terms carry -+pi/2.
+    // 15 and 16 qubits span several 4096-key blocks, on four threads.
+    ThreadGuard guard;
+    common::set_num_threads(4);
+    const double pi = std::numbers::pi;
+    for (std::int32_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16}) {
+        Xoshiro256 rng(static_cast<std::uint64_t>(n));
+        DiagonalBatch batch;
+        std::vector<std::uint64_t> masks;
+        std::vector<std::int32_t> signs;
+        auto term = [&](std::uint64_t mask, std::int32_t sign) {
+            masks.push_back(mask);
+            signs.push_back(sign);
+        };
+        for (std::int32_t q = 0; q < n; ++q) {
+            const std::uint64_t bit = std::uint64_t(1) << q;
+            if (q % 3 == 0 && q + 1 < n) {
+                const std::int32_t s = rng.next_below(2) ? 1 : -1;
+                batch.add_cphase(q, q + 1, 2.0 * pi * s);
+                term(bit, -s);
+                term(bit << 1, -s);
+                term(bit | bit << 1, s);
+                ++q;
+                continue;
+            }
+            switch (rng.next_below(3)) {
+              case 0: batch.add_z(q); term(bit, -1); break;
+              case 1: batch.add_rz(q, pi); term(bit, -1); break;
+              default: batch.add_rz(q, -pi); term(bit, 1); break;
+            }
+        }
+        if (n >= 3) {
+            // pi/2 - pi merged into one mask (qubits 0 and 2 share no
+            // earlier term): the sign flips and the batch stays uniform.
+            batch.add_rzz(0, 2, -pi);
+            batch.add_rzz(0, 2, 2.0 * pi);
+            term(5, -1);
+        }
+        for (std::int32_t k = 0; k < 2 * n; ++k) {
+            const auto a = static_cast<std::int32_t>(
+                rng.next_below(static_cast<std::uint64_t>(n)));
+            const auto b = static_cast<std::int32_t>(
+                rng.next_below(static_cast<std::uint64_t>(n)));
+            const std::uint64_t mask =
+                (std::uint64_t(1) << a) | (std::uint64_t(1) << b);
+            if (a == b ||
+                std::find(masks.begin(), masks.end(), mask) != masks.end())
+                continue;
+            const std::int32_t s = rng.next_below(2) ? 1 : -1;
+            batch.add_rzz(a, b, -pi * s);
+            term(mask, s);
+        }
+
+        const auto view = batch.baked_view(n);
+        ASSERT_TRUE(view.uniform) << n << " qubits";
+        ASSERT_NE(view.keys, nullptr);
+        EXPECT_EQ(view.dense, nullptr);
+        EXPECT_EQ(view.quantum, pi / 2.0);
+        EXPECT_EQ(view.span, static_cast<std::int32_t>(masks.size()));
+        const std::size_t size = std::size_t(1) << n;
+        for (std::size_t i = 0; i < size; ++i)
+            ASSERT_EQ(view.keys[i], walsh_sum(i, masks, signs))
+                << n << " qubits, index " << i;
+    }
+}
+
+TEST(DiagonalBatchTest, MergedMixedMagnitudesTakeTheDensePath)
+{
+    // Two RZZ on one pair merge to |coeff| = 1.0 beside 0.5 terms: the
+    // batch is not uniform, so it bakes double angles in term order.
+    for (std::int32_t n = 3; n <= 10; ++n) {
+        DiagonalBatch batch;
+        batch.add_rzz(0, 2, 1.0);
+        batch.add_rzz(0, 2, 1.0);
+        batch.add_rzz(1, 2, -1.0);
+        batch.add_rz(n - 1, 1.0);
+        const std::vector<std::uint64_t> masks = {
+            5, 6, std::uint64_t(1) << (n - 1)};
+        const std::vector<double> coeffs = {-1.0, 0.5, -0.5};
+        const auto view = batch.baked_view(n);
+        ASSERT_FALSE(view.uniform) << n << " qubits";
+        EXPECT_EQ(view.keys, nullptr);
+        ASSERT_NE(view.dense, nullptr);
+        for (std::size_t i = 0; i < (std::size_t(1) << n); ++i)
+            ASSERT_EQ(view.dense[i], walsh_sum(i, masks, coeffs))
+                << n << " qubits, index " << i;
     }
 }
 

@@ -6,12 +6,14 @@
  * has it) and thread counts, on the ideal, weighted, and noisy paths
  * (expectation values AND sampled shot histograms); exact
  * memory_bytes() accounting and batch shrinking under the memory
- * budget; and multi-problem scheduling invariance.
+ * budget; multi-problem scheduling invariance; and golden values of
+ * the ideal and noisy objective and sweeps, pinned as hexfloats.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "arch/coupling_graph.h"
@@ -370,6 +372,120 @@ TEST(SweepMultiProblem, RespectsMemoryBudget)
     for (std::size_t p = 0; p < 2; ++p)
         expect_bitwise(result.problems[p].values,
                        loose.problems[p].values, "budgeted schedule");
+}
+
+// Golden values. The tests above compare two paths of one build, so a
+// change that moves every path by the same last bit passes them; these
+// pin the doubles themselves as hexfloats. Change a value only for a
+// deliberate numerical change, and record why in CHANGES.md. On a
+// mismatch the test prints the computed values in pasteable form.
+
+void
+expect_golden(const std::vector<double>& got,
+              const std::vector<double>& want, const char* label)
+{
+    std::ostringstream listing;
+    listing << std::hexfloat;
+    for (double v : got)
+        listing << "\n        " << v << ",";
+    ASSERT_EQ(got.size(), want.size())
+        << label << " computed:" << listing.str();
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(std::memcmp(&got[i], &want[i], sizeof(double)) == 0)
+            << label << " value " << i << " computed:" << listing.str();
+}
+
+/** The noisy fixture: a 10-vertex problem compiled for Mumbai at the
+ *  best tier (pinned, so PERMUQ_TIER cannot change the circuit) and
+ *  simulated under calibration seed 7 with permuqc's trajectory and
+ *  shot counts. */
+struct NoisyGolden
+{
+    arch::CouplingGraph device = arch::make_mumbai();
+    arch::NoiseModel noise = arch::NoiseModel::calibrated(device, 7);
+    graph::Graph problem = problem::random_graph(10, 0.35, 4);
+    core::CompileResult compiled = compile_best();
+    NoisySimOptions options = permuqc_options();
+
+    core::CompileResult
+    compile_best() const
+    {
+        core::CompilerOptions opts;
+        opts.tier = core::CompileTier::Best;
+        return core::compile(device, problem, opts);
+    }
+
+    static NoisySimOptions
+    permuqc_options()
+    {
+        NoisySimOptions o;
+        o.trajectories = 8;
+        o.shots = 2000;
+        o.seed = 1000;
+        return o;
+    }
+};
+
+TEST(SimGolden, IdealExpectation)
+{
+    auto problem = problem::random_graph(12, 0.3, 5);
+    QaoaObjective context(problem);
+    std::vector<double> got;
+    for (const QaoaAngles& angles :
+         {QaoaAngles{{0.3}, {0.2}}, QaoaAngles{{0.4, 0.7}, {0.35, 0.2}}})
+        got.push_back(context.ideal_expectation(angles));
+    expect_golden(got, {0x1.7a8f4a06c24d8p+3, 0x1.c09e55e1207c8p+3},
+                  "ideal_expectation");
+}
+
+TEST(SimGolden, NoisyExpectation)
+{
+    NoisyGolden g;
+    QaoaObjective context(g.problem);
+    std::vector<double> got;
+    for (const QaoaAngles& angles :
+         {QaoaAngles{{0.3}, {0.2}}, QaoaAngles{{0.4, 0.7}, {0.35, 0.2}}})
+        got.push_back(context.noisy_expectation(g.compiled.circuit,
+                                                g.noise, angles,
+                                                g.options));
+    expect_golden(got, {0x1.1d47ae147ae14p+3, 0x1.2e8f5c28f5c29p+3},
+                  "noisy_expectation");
+}
+
+TEST(SimGolden, IdealSweep)
+{
+    auto problem = problem::random_graph(12, 0.3, 5);
+    QaoaObjective context(problem);
+    SweepResult result =
+        SweepEvaluator(context).ideal_sweep(sweep_grid(4, 4, 1));
+    expect_golden(result.values,
+                  {0x1.a08053d4bf594p+3, 0x1.6bd45fcd09db4p+3,
+                   0x1.d58d02bd5411ep+2, 0x1.9f5fdd8ccab3p+2,
+                   0x1.57e0760fe046p+3, 0x1.4ca64c0ed152cp+3,
+                   0x1.2dd5813ca31f2p+3, 0x1.2604208d62544p+3,
+                   0x1.38e3a032f6232p+3, 0x1.3b7011399aa59p+3,
+                   0x1.441fac2b40a4ep+3, 0x1.46f17ea155f6p+3,
+                   0x1.464a7ec35cdf4p+3, 0x1.482789f01fb87p+3,
+                   0x1.4303df729daa5p+3, 0x1.3df9b3f12eabdp+3},
+                  "ideal 4x4 sweep");
+}
+
+TEST(SimGolden, NoisySweep)
+{
+    NoisyGolden g;
+    QaoaObjective context(g.problem);
+    SweepResult result = SweepEvaluator(context).noisy_sweep(
+        g.compiled.circuit, g.noise, sweep_grid(4, 4, 1), g.options);
+    expect_golden(result.values,
+                  {0x1.2d4bc6a7ef9dbp+3, 0x1.0c6a7ef9db22dp+3,
+                   0x1.9947ae147ae14p+2, 0x1.82e978d4fdf3bp+2,
+                   0x1.0ed0e56041893p+3, 0x1.084dd2f1a9fbep+3,
+                   0x1.ec6a7ef9db22dp+2, 0x1.da147ae147ae1p+2,
+                   0x1.f25604189374cp+2, 0x1.f62d0e5604189p+2,
+                   0x1.039db22d0e56p+3, 0x1.0326e978d4fdfp+3,
+                   0x1.fee147ae147aep+2, 0x1.0610624dd2f1bp+3,
+                   0x1.0716872b020c5p+3, 0x1.04c8b43958106p+3},
+                  "noisy 4x4 sweep");
 }
 
 } // namespace

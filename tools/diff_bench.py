@@ -35,7 +35,13 @@ between runs:
     its memory budget, and has not silently loosened a gate (lower
     *_min) or raised memory_budget_bytes above the committed
     baseline's. The values_identical / shots_identical flags are
-    covered by the generic correctness-flag check.
+    covered by the generic correctness-flag check;
+  * the BENCH_sim.json "stages" section (the per-stage simulator
+    ledger) keeps each stage within its own budget -- the fused
+    spectrum's key build (spectrum_build_ms against
+    spectrum_build_budget_ms) and one noisy objective evaluation
+    (noisy_eval_ms against noisy_eval_budget_ms) -- and has not
+    silently raised either budget above the committed baseline's.
 
 Other timing fields are reported for context but never fail the diff.
 
@@ -231,6 +237,51 @@ def diff_sweep(base, cand):
     return status
 
 
+# BENCH_sim.json "stages": (measured field, budget field) per stage.
+STAGE_BUDGETS = (
+    ("spectrum_build_ms", "spectrum_build_budget_ms"),
+    ("noisy_eval_ms", "noisy_eval_budget_ms"),
+)
+
+
+def diff_stages(base, cand):
+    """Gate the per-stage simulator ledger: each stage that owns the
+    time of a QAOA job stays within its budget, and no budget is
+    quietly raised."""
+    if cand is None:
+        return 0
+    status = 0
+    for field, budget_field in STAGE_BUDGETS:
+        value = cand.get(field)
+        budget = cand.get(budget_field)
+        if not isinstance(value, (int, float)) or not isinstance(
+            budget, (int, float)
+        ):
+            status |= fail(f"stages section lacks numeric {field}/budget")
+            continue
+        if value > budget:
+            status |= fail(
+                f"stage {field} {value:.3f} ms exceeds its budget "
+                f"{budget:.2f} ms"
+            )
+        if base is None:
+            continue
+        base_budget = base.get(budget_field)
+        if isinstance(base_budget, (int, float)) and budget > base_budget:
+            status |= fail(
+                f"stage budget {budget_field} raised from "
+                f"{base_budget:.2f} to {budget:.2f} ms without a "
+                f"baseline update"
+            )
+        base_value = base.get(field)
+        if isinstance(base_value, (int, float)):
+            print(
+                f"diff_bench: stage {field} {value:.3f} ms (baseline "
+                f"{base_value:.3f} ms, budget {budget:.2f} ms)"
+            )
+    return status
+
+
 def diff(baseline_path, candidate_path):
     try:
         baseline = load(baseline_path)
@@ -310,6 +361,8 @@ def diff(baseline_path, candidate_path):
     )
 
     status |= diff_sweep(baseline.get("sweep"), candidate.get("sweep"))
+
+    status |= diff_stages(baseline.get("stages"), candidate.get("stages"))
 
     if status == 0:
         print(f"diff_bench: {candidate_path} consistent with {baseline_path}")

@@ -490,6 +490,16 @@ main(int argc, char** argv)
         if (cli.diagram)
             std::fputs(circuit::to_diagram(circuit).c_str(), stdout);
 
+        // One evaluation context per job: --qaoa's optimizer and
+        // --sweep share its baked cost spectrum, cut table and scratch
+        // state. Built on first use, after that flag's size check.
+        std::optional<sim::QaoaObjective> shared_context;
+        auto objective_context = [&]() -> sim::QaoaObjective& {
+            if (!shared_context)
+                shared_context.emplace(problem);
+            return *shared_context;
+        };
+
         if (cli.qaoa_layers > 0) {
             fatal_unless(problem.num_vertices() <= sim::kMaxSimQubits,
                          "--qaoa simulation supports up to " +
@@ -499,10 +509,7 @@ main(int argc, char** argv)
                          "--qaoa-rounds must be at least 1");
             const std::size_t p =
                 static_cast<std::size_t>(cli.qaoa_layers);
-            // The evaluation context is built once; every optimizer
-            // iteration reuses its baked cost batch, cut table, and
-            // scratch state.
-            sim::QaoaObjective context(problem);
+            sim::QaoaObjective& context = objective_context();
             std::int32_t eval = 0;
             auto objective = [&](const std::vector<double>& x) {
                 sim::QaoaAngles angles;
@@ -531,7 +538,7 @@ main(int argc, char** argv)
                         "(maxcut %d)\n",
                         cli.qaoa_layers, noise ? "noisy" : "ideal",
                         -r.best_f, cli.qaoa_rounds,
-                        sim::max_cut(problem));
+                        static_cast<int>(context.max_cut()));
         }
 
         if (cli.sweep_gammas > 0) {
@@ -561,12 +568,11 @@ main(int argc, char** argv)
                         problem.num_vertices(), cli.density,
                         cli.seed + static_cast<std::uint64_t>(k)));
                 std::vector<sim::QaoaObjective> contexts;
-                contexts.reserve(
-                    static_cast<std::size_t>(cli.sweep_problems));
-                contexts.emplace_back(problem);
+                contexts.reserve(graphs.size());
                 for (const auto& g : graphs)
                     contexts.emplace_back(g);
-                std::vector<sim::QaoaObjective*> objectives;
+                std::vector<sim::QaoaObjective*> objectives{
+                    &objective_context()};
                 for (auto& c : contexts)
                     objectives.push_back(&c);
                 auto multi = sim::sweep_problems(objectives, points,
@@ -588,8 +594,8 @@ main(int argc, char** argv)
                             static_cast<long long>(
                                 summary.peak_memory_bytes));
             } else {
-                sim::QaoaObjective context(problem);
-                sim::SweepEvaluator evaluator(context, sweep_options);
+                sim::SweepEvaluator evaluator(objective_context(),
+                                              sweep_options);
                 if (noise) {
                     sim::NoisySimOptions sim_options;
                     sim_options.trajectories = 8;
