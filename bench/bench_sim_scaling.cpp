@@ -17,29 +17,18 @@
  * cross-checks that expectation values are bit-identical across SIMD
  * tiers and thread counts.
  *
- * Always records the per-stage ledger (JSON "stages"): the fused
- * spectrum's key build at 20 qubits and one 15-qubit noisy objective
- * evaluation as permuqc runs it, each at one thread against a budget.
- *
- * With --sweep, also runs the batched-sweep mode: a gammas x betas
- * angle grid evaluated (a) sequentially through one QaoaObjective and
- * (b) through the batched SweepEvaluator, gating >= 2x points/sec on
- * the single-problem sweep (armed only when the sequential
- * statevector spills the detected last-level cache — a cache-resident
- * sequential loop makes the ratio measure cache vs DRAM bandwidth,
- * not the engine), bitwise-equal expectation values AND sampled shot
- * histograms against the sequential loop on every SIMD tier and
- * thread count, and (when the machine has >= 8 hardware threads)
- * >= 3x aggregate scaling from 1 to 8 concurrently swept problems
- * under the multi-problem memory budget.
+ * Always records the per-stage ledger (JSON "stages"), at one thread
+ * and fixed sizes: the fused spectrum's key build at 20 qubits and one
+ * 15-qubit noisy objective evaluation as permuqc runs it, each against
+ * a budget; one 20-qubit ideal evaluation split into its passes (fill,
+ * phase LUT, mixer, reduction); and the 15-qubit mixer. Each mixer row
+ * is gated on an in-process ratio, apply_rx_all against n single-qubit
+ * apply_rx passes on the same state, which host drift cannot move.
  *
  * Knobs: PERMUQ_SIM_N (qubits, default 20), PERMUQ_SIM_REPS
  * (timing repetitions, best-of, default 3), PERMUQ_SIM_OBJ_N
  * (objective-loop qubits, default 22), PERMUQ_SIM_OBJ_ITERS
- * (objective evaluations per run, default 200), PERMUQ_SIM_SWEEP_N
- * (sweep qubits, default 22), PERMUQ_SIM_SWEEP_GRID (grid side,
- * default 8 -> 64 points), PERMUQ_SIM_SWEEP_PROBLEMS (multi-problem
- * width, default 8).
+ * (objective evaluations per run, default 200).
  */
 #include <algorithm>
 #include <cmath>
@@ -279,268 +268,23 @@ time_best(std::int32_t reps, Fn&& body)
     return {best, result};
 }
 
-/** Everything the --sweep section measures (JSON "sweep" object). */
-struct SweepBench
+/** apply_rx_all against n single-qubit apply_rx passes on one state
+ *  (JSON "<row>_ms", "<row>_sequential_ms", "<row>_ratio"). */
+struct MixerRow
 {
     std::int32_t n = 0;
-    std::int32_t layers = 2;
-    std::int64_t points = 0;
-    std::int64_t batch = 0;
-    double sequential_seconds = 0.0;
-    double batched_seconds = 0.0;
-    double sequential_pts_per_sec = 0.0;
-    double batched_pts_per_sec = 0.0;
-    double single_speedup = 0.0;
-    double single_speedup_min = 2.0;
-    /** One sequential statevector: 16 bytes * 2^n. */
-    std::size_t state_bytes = 0;
-    /** Detected last-level cache size (sysfs; 32 MB fallback). */
-    std::size_t llc_bytes = 0;
-    /** The >=2x gate only binds when batching's premise holds: the
-     *  sequential statevector spills the last-level cache (n >= 20
-     *  and state_bytes > llc_bytes, else the sequential loop streams
-     *  from cache and the ratio measures cache vs DRAM bandwidth)
-     *  AND the machine has >= 4 hardware threads (batching pays by
-     *  cutting DRAM traffic, which only bounds throughput when the
-     *  butterfly compute can spread across cores; on 1-2 threads
-     *  both paths are compute-serialized — the multi_scaling gate
-     *  below applies the same reasoning). Outside those conditions
-     *  the ratio is reported but not enforced. */
-    bool single_speedup_gated = false;
-    bool values_identical = false;
-    bool shots_identical = false;
-    std::int32_t multi_problems = 0;
-    std::int64_t multi_in_flight = 0;
-    double multi_pts_per_sec = 0.0;
-    double multi_scaling = 0.0;
-    double multi_scaling_min = 3.0;
-    /** The 1->8 problem scaling gate only binds on machines with at
-     *  least 8 hardware threads (below that the scheduler correctly
-     *  serializes and aggregate throughput cannot scale). */
-    bool multi_scaling_gated = false;
-    std::size_t memory_budget_bytes = 0;
-    std::size_t peak_memory_bytes = 0;
-    bool within_budget = false;
-
-    bool
-    pass() const
-    {
-        return values_identical && shots_identical && within_budget &&
-               (!single_speedup_gated ||
-                single_speedup >= single_speedup_min) &&
-               (!multi_scaling_gated ||
-                multi_scaling >= multi_scaling_min);
-    }
+    double blocked_ms = 0.0;
+    double sequential_ms = 0.0;
+    /** sequential_ms / blocked_ms; gated against a floor. */
+    double ratio = 0.0;
+    double ratio_min = 0.0;
 };
 
-/** Last-level data cache size in bytes: the largest cache level
- *  sysfs reports, 32 MB when nothing is readable (non-Linux). */
-std::size_t
-llc_cache_bytes()
-{
-    std::size_t best = 0;
-    for (int index = 0; index < 8; ++index) {
-        char path[128];
-        std::snprintf(path, sizeof(path),
-                      "/sys/devices/system/cpu/cpu0/cache/index%d/size",
-                      index);
-        std::FILE* f = std::fopen(path, "r");
-        if (f == nullptr)
-            continue;
-        unsigned long long kb = 0;
-        char unit = 'K';
-        if (std::fscanf(f, "%llu%c", &kb, &unit) >= 1) {
-            std::size_t bytes = static_cast<std::size_t>(kb) *
-                                (unit == 'M' ? std::size_t(1) << 20
-                                             : std::size_t(1) << 10);
-            best = std::max(best, bytes);
-        }
-        std::fclose(f);
-    }
-    return best != 0 ? best : std::size_t(32) << 20;
-}
-
-/** The --sweep section: batched sweep engine vs the sequential
- *  QaoaObjective loop (see file comment). */
-SweepBench
-run_sweep_bench(std::int32_t hw_threads)
-{
-    SweepBench out;
-    out.n = env_int("PERMUQ_SIM_SWEEP_N", 22);
-    const std::int32_t grid = env_int("PERMUQ_SIM_SWEEP_GRID", 8);
-    out.multi_problems = env_int("PERMUQ_SIM_SWEEP_PROBLEMS", 8);
-    auto problem = problem::random_graph(out.n, 0.3, 5);
-    const auto points = sim::sweep_grid(
-        static_cast<std::size_t>(grid), static_cast<std::size_t>(grid),
-        out.layers);
-    out.points = static_cast<std::int64_t>(points.size());
-    std::printf("\nsweep mode: n=%d p=%d grid=%dx%d (%lld points) "
-                "tier=%s\n",
-                out.n, out.layers, grid, grid,
-                static_cast<long long>(out.points),
-                sim::simd_tier_name(sim::active_simd_tier()));
-
-    // 1. Sequential reference: one QaoaObjective evaluation per point.
-    sim::QaoaObjective sequential_ctx(problem);
-    std::vector<double> sequential(points.size());
-    Timer seq_timer;
-    for (std::size_t i = 0; i < points.size(); ++i)
-        sequential[i] = sequential_ctx.ideal_expectation(points[i]);
-    out.sequential_seconds = seq_timer.elapsed_seconds();
-    out.sequential_pts_per_sec =
-        static_cast<double>(points.size()) / out.sequential_seconds;
-    std::printf("sequential loop:       %7.3f s  (%.1f pts/s)\n",
-                out.sequential_seconds, out.sequential_pts_per_sec);
-
-    // 2. Batched sweep, same problem, same points.
-    sim::QaoaObjective batched_ctx(problem);
-    sim::SweepOptions sweep_options;
-    sim::SweepEvaluator evaluator(batched_ctx, sweep_options);
-    auto result = evaluator.ideal_sweep(points);
-    out.batched_seconds = result.seconds;
-    out.batched_pts_per_sec = result.points_per_sec;
-    out.batch = static_cast<std::int64_t>(result.batch);
-    out.single_speedup = out.sequential_seconds / out.batched_seconds;
-    out.state_bytes = std::size_t(16) << out.n;
-    out.llc_bytes = llc_cache_bytes();
-    out.single_speedup_gated = out.n >= 20 &&
-                               out.state_bytes > out.llc_bytes &&
-                               hw_threads >= 4;
-    std::printf("batched sweep (B=%lld): %7.3f s  (%.1f pts/s)  "
-                "%5.2fx  (gate %s >= %.1fx)\n",
-                static_cast<long long>(out.batch), out.batched_seconds,
-                out.batched_pts_per_sec, out.single_speedup,
-                out.single_speedup_gated ? "active" : "off",
-                out.single_speedup_min);
-    if (!out.single_speedup_gated) {
-        if (out.state_bytes <= out.llc_bytes)
-            std::printf("  (gate off: %zu MB statevector vs %zu MB "
-                        "LLC -- the sequential loop is "
-                        "cache-resident, so the ratio is "
-                        "informational)\n",
-                        out.state_bytes >> 20, out.llc_bytes >> 20);
-        else if (hw_threads < 4)
-            std::printf("  (gate off: %d hardware thread(s) -- both "
-                        "paths are compute-serialized, so the ratio "
-                        "is informational)\n",
-                        hw_threads);
-    }
-
-    // 3. Bitwise identity of the expectation values against the
-    // sequential loop, on every compiled-in SIMD tier and at 1 and
-    // hw threads.
-    const sim::SimdTier best_tier = sim::active_simd_tier();
-    out.values_identical = true;
-    for (std::size_t i = 0; i < points.size(); ++i)
-        out.values_identical = out.values_identical &&
-                               bits_equal(result.values[i],
-                                          sequential[i]);
-    for (sim::SimdTier tier :
-         {sim::SimdTier::Scalar, sim::SimdTier::Avx2,
-          sim::detected_simd_tier()}) {
-        for (std::int32_t threads : {1, hw_threads}) {
-            sim::set_simd_tier(tier);
-            common::set_num_threads(threads);
-            sim::QaoaObjective probe_ctx(problem);
-            auto probe =
-                sim::SweepEvaluator(probe_ctx).ideal_sweep(points);
-            for (std::size_t i = 0; i < points.size(); ++i)
-                out.values_identical =
-                    out.values_identical &&
-                    bits_equal(probe.values[i], sequential[i]);
-        }
-    }
-    sim::set_simd_tier(best_tier);
-    common::set_num_threads(hw_threads);
-
-    // 4. Sampled shots: the noisy sweep's per-point histograms must
-    // equal the sequential noisy_counts loop, RNG stream and all.
-    // Small instance -- this gates correctness, not throughput.
-    {
-        auto shot_problem = problem::random_graph(10, 0.35, 7);
-        auto device =
-            arch::smallest_arch(arch::ArchKind::Grid,
-                                shot_problem.num_vertices());
-        auto compiled = core::compile(device, shot_problem, {});
-        auto noise = arch::NoiseModel::calibrated(device, 11);
-        auto shot_points = sim::sweep_grid(2, 2, 1);
-        sim::NoisySimOptions noisy;
-        noisy.trajectories = 4;
-        noisy.shots = 500;
-        noisy.seed = 77;
-        sim::QaoaObjective shot_seq(shot_problem);
-        std::vector<std::vector<std::int64_t>> want;
-        for (const auto& a : shot_points)
-            want.push_back(shot_seq.noisy_counts(compiled.circuit,
-                                                 noise, a, noisy));
-        out.shots_identical = true;
-        for (sim::SimdTier tier :
-             {sim::SimdTier::Scalar, sim::detected_simd_tier()}) {
-            for (std::int32_t threads : {1, hw_threads}) {
-                sim::set_simd_tier(tier);
-                common::set_num_threads(threads);
-                sim::QaoaObjective shot_ctx(shot_problem);
-                auto got = sim::SweepEvaluator(shot_ctx)
-                               .noisy_sweep_counts(compiled.circuit,
-                                                   noise, shot_points,
-                                                   noisy);
-                out.shots_identical =
-                    out.shots_identical && got == want;
-            }
-        }
-        sim::set_simd_tier(best_tier);
-        common::set_num_threads(hw_threads);
-        std::printf("bitwise vs sequential: values %s, shots %s\n",
-                    out.values_identical ? "yes" : "NO",
-                    out.shots_identical ? "yes" : "NO");
-    }
-
-    // 5. Multi-problem scaling: aggregate throughput of P problems
-    // swept concurrently vs the single-problem batched throughput.
-    out.memory_budget_bytes = sweep_options.memory_budget_bytes;
-    {
-        std::vector<graph::Graph> graphs;
-        graphs.reserve(static_cast<std::size_t>(out.multi_problems));
-        for (std::int32_t k = 0; k < out.multi_problems; ++k)
-            graphs.push_back(problem::random_graph(
-                out.n, 0.3, 5 + static_cast<std::uint64_t>(k)));
-        std::vector<sim::QaoaObjective> contexts;
-        contexts.reserve(graphs.size());
-        for (const auto& g : graphs)
-            contexts.emplace_back(g);
-        std::vector<sim::QaoaObjective*> objectives;
-        for (auto& c : contexts)
-            objectives.push_back(&c);
-        auto multi =
-            sim::sweep_problems(objectives, points, sweep_options);
-        out.multi_in_flight =
-            static_cast<std::int64_t>(multi.problems_in_flight);
-        out.multi_pts_per_sec = multi.points_per_sec;
-        out.multi_scaling =
-            multi.points_per_sec / out.batched_pts_per_sec;
-        out.peak_memory_bytes = multi.peak_memory_bytes;
-        out.within_budget =
-            multi.peak_memory_bytes <= out.memory_budget_bytes;
-        out.multi_scaling_gated =
-            hw_threads >= 8 && out.multi_problems >= 8;
-        std::printf("multi-problem (%d problems, %lld in flight): "
-                    "%.1f pts/s aggregate, %.2fx of single "
-                    "(gate %s >= %.1fx), peak %zu / budget %zu "
-                    "bytes\n",
-                    out.multi_problems,
-                    static_cast<long long>(out.multi_in_flight),
-                    out.multi_pts_per_sec, out.multi_scaling,
-                    out.multi_scaling_gated ? "active" : "off",
-                    out.multi_scaling_min, out.peak_memory_bytes,
-                    out.memory_budget_bytes);
-    }
-    return out;
-}
-
-/** The per-stage ledger (JSON "stages"): the two simulator stages the
- *  QAOA jobs spend their time on, each against a budget that this
- *  bench's exit status and tools/diff_bench.py enforce. Fixed sizes at
- *  one thread, so a smoke run and a full run time the same work. */
+/** The per-stage ledger (JSON "stages"): the simulator stages the
+ *  QAOA jobs spend their time on, each against a budget or a ratio
+ *  floor that this bench's exit status and tools/diff_bench.py
+ *  enforce. Fixed sizes at one thread, so a smoke run and a full run
+ *  time the same work. */
 struct StageBench
 {
     /** Key build of the fused cost batch: one RZZ per edge of the
@@ -558,12 +302,35 @@ struct StageBench
     std::int32_t noisy_evals = 0;
     double noisy_eval_ms = 0.0;
     double noisy_eval_budget_ms = 15.0;
+    /** One ideal objective evaluation, p=1, on the spectrum problem,
+     *  split by pass; the split must reproduce
+     *  QaoaObjective::ideal_expectation bit for bit. */
+    std::int32_t ideal_n = 20;
+    double ideal_fill_ms = 0.0;
+    double ideal_phase_ms = 0.0;
+    double ideal_reduce_ms = 0.0;
+    bool ideal_split_identical = false;
+    /** The evaluation's mixer pass, and the 15-qubit mixer. Each floor
+     *  sits below every ratio measured on one 4-vCPU AVX-512 host on
+     *  both vector tiers (20q: 2.29x, 15q: 1.67x at the lowest, both
+     *  AVX2) and above the 1.0-1.7x of the mixer before its register
+     *  blocks (EXPERIMENTS.md). The AVX2 runs forced PERMUQ_SIMD=avx2
+     *  on that host; no AVX2-only machine has measured them yet. */
+    MixerRow ideal_mixer{20, 0.0, 0.0, 0.0, 2.0};
+    MixerRow mixer15{15, 0.0, 0.0, 0.0, 1.4};
+    /** The floors bind on the vector tiers; the scalar tier has no
+     *  register blocks, so there the ratios are informational. */
+    bool mixer_gated = false;
 
     bool
     pass() const
     {
         return spectrum_build_ms <= spectrum_build_budget_ms &&
-               noisy_eval_ms <= noisy_eval_budget_ms;
+               noisy_eval_ms <= noisy_eval_budget_ms &&
+               ideal_split_identical &&
+               (!mixer_gated ||
+                (ideal_mixer.ratio >= ideal_mixer.ratio_min &&
+                 mixer15.ratio >= mixer15.ratio_min));
     }
 };
 
@@ -578,6 +345,38 @@ budgeted_ms(std::int32_t reps, double budget_ms, Fn&& body)
     for (int attempt = 0; attempt < 2 && ms > budget_ms; ++attempt)
         ms = time_best(reps, body).first * 1e3;
     return ms;
+}
+
+/** Lower @p best_ms to the wall time of one call of @p body. */
+template <typename Fn>
+void
+keep_best_ms(double& best_ms, Fn&& body)
+{
+    Timer timer;
+    body();
+    best_ms = std::min(best_ms, timer.elapsed_seconds() * 1e3);
+}
+
+/** Time the mixer layer on @p sv and the same layer as n apply_rx
+ *  passes alternately, best of @p reps each, into @p row; measured
+ *  again up to twice while under the floor, like budgeted_ms. */
+void
+time_mixer(MixerRow& row, bool gated, std::int32_t reps,
+           sim::Statevector& sv, double theta)
+{
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        row.blocked_ms = row.sequential_ms = 1e30;
+        for (std::int32_t r = 0; r < reps; ++r) {
+            keep_best_ms(row.blocked_ms, [&] { sv.apply_rx_all(theta); });
+            keep_best_ms(row.sequential_ms, [&] {
+                for (std::int32_t q = 0; q < row.n; ++q)
+                    sv.apply_rx(q, theta);
+            });
+        }
+        row.ratio = row.sequential_ms / row.blocked_ms;
+        if (!gated || row.ratio >= row.ratio_min)
+            break;
+    }
 }
 
 StageBench
@@ -621,6 +420,37 @@ run_stage_bench(std::int32_t reps, std::int32_t hw_threads)
             return noisy_sum;
         }) /
         out.noisy_evals;
+
+    // One ideal p=1 evaluation, pass by pass, through the objective's
+    // own cost batch and reduction: fill, cost phase, mixer, <C>.
+    out.mixer_gated = sim::active_simd_tier() != sim::SimdTier::Scalar;
+    const sim::QaoaAngles ideal_angles{{0.4}, {0.35}};
+    sim::QaoaObjective ideal(spectrum_problem);
+    sim::Statevector sv(out.ideal_n);
+    const double beta2 = 2.0 * ideal_angles.beta[0];
+    double expectation = 0.0;
+    // Five repetitions at least: the fill and reduction take about a
+    // millisecond, where one timeslice shows.
+    const std::int32_t split_reps = std::max(reps, 5);
+    out.ideal_fill_ms = out.ideal_phase_ms = out.ideal_reduce_ms = 1e30;
+    for (std::int32_t r = 0; r < split_reps; ++r) {
+        keep_best_ms(out.ideal_fill_ms, [&] { sv.reset_to_plus(); });
+        keep_best_ms(out.ideal_phase_ms, [&] {
+            ideal.cost_batch().apply(sv, -ideal_angles.gamma[0]);
+        });
+        sv.apply_rx_all(beta2);
+        keep_best_ms(out.ideal_reduce_ms,
+                     [&] { expectation = ideal.expectation(sv); });
+    }
+    out.ideal_split_identical =
+        bits_equal(expectation, ideal.ideal_expectation(ideal_angles));
+    // The mixer row times the layer on the evaluation's output state;
+    // its cost does not depend on the amplitudes.
+    time_mixer(out.ideal_mixer, out.mixer_gated, split_reps, sv, beta2);
+
+    sim::Statevector sv15(out.mixer15.n);
+    sv15.reset_to_plus();
+    time_mixer(out.mixer15, out.mixer_gated, 25, sv15, beta2);
     common::set_num_threads(hw_threads);
 
     std::printf("\nstage ledger (1 thread):\n");
@@ -632,18 +462,28 @@ run_stage_bench(std::int32_t reps, std::int32_t hw_threads)
                 out.noisy_n, out.noisy_trajectories, out.noisy_shots,
                 out.noisy_eval_ms, out.noisy_eval_budget_ms,
                 noisy_sum / out.noisy_evals);
+    std::printf("ideal eval n=%d p=1:  fill %.3f  phase LUT %.3f  mixer "
+                "%.3f  reduction %.3f ms  (<C>=%.6f, %s QaoaObjective)\n",
+                out.ideal_n, out.ideal_fill_ms, out.ideal_phase_ms,
+                out.ideal_mixer.blocked_ms, out.ideal_reduce_ms,
+                expectation,
+                out.ideal_split_identical ? "bitwise equal to"
+                                          : "DIFFERS from");
+    for (const MixerRow* row : {&out.ideal_mixer, &out.mixer15})
+        std::printf("mixer n=%d %s:  %.3f ms vs %.3f ms as %d apply_rx "
+                    "passes = %.2fx  (floor %.2fx%s)\n",
+                    row->n, sim::simd_tier_name(sim::active_simd_tier()),
+                    row->blocked_ms, row->sequential_ms, row->n,
+                    row->ratio, row->ratio_min,
+                    out.mixer_gated ? "" : ", off on the scalar tier");
     return out;
 }
 
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
-    bool with_sweep = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--sweep") == 0)
-            with_sweep = true;
     bench::banner("statevector engine scaling", "engine rewrite");
     const std::int32_t n = env_int("PERMUQ_SIM_N", 20);
     const std::int32_t reps = env_int("PERMUQ_SIM_REPS", 3);
@@ -814,11 +654,6 @@ main(int argc, char** argv)
     // 7. Per-stage ledger.
     const StageBench stages = run_stage_bench(reps, hw_threads);
 
-    // 8. Batched sweep mode (opt-in: --sweep).
-    SweepBench sweep;
-    if (with_sweep)
-        sweep = run_sweep_bench(hw_threads);
-
     std::FILE* json = std::fopen("BENCH_sim.json", "w");
     if (json != nullptr) {
         std::fprintf(
@@ -861,8 +696,24 @@ main(int argc, char** argv)
             "    \"noisy_shots\": %d,\n"
             "    \"noisy_evals\": %d,\n"
             "    \"noisy_eval_ms\": %.4f,\n"
-            "    \"noisy_eval_budget_ms\": %.2f\n"
-            "  },\n",
+            "    \"noisy_eval_budget_ms\": %.2f,\n"
+            "    \"ideal_n\": %d,\n"
+            "    \"ideal_fill_ms\": %.4f,\n"
+            "    \"ideal_phase_ms\": %.4f,\n"
+            "    \"ideal_mixer_ms\": %.4f,\n"
+            "    \"ideal_reduce_ms\": %.4f,\n"
+            "    \"ideal_split_identical\": %s,\n"
+            "    \"mixer_gated\": %s,\n"
+            "    \"ideal_mixer_sequential_ms\": %.4f,\n"
+            "    \"ideal_mixer_ratio\": %.3f,\n"
+            "    \"ideal_mixer_ratio_min\": %.2f,\n"
+            "    \"mixer15_n\": %d,\n"
+            "    \"mixer15_ms\": %.4f,\n"
+            "    \"mixer15_sequential_ms\": %.4f,\n"
+            "    \"mixer15_ratio\": %.3f,\n"
+            "    \"mixer15_ratio_min\": %.2f\n"
+            "  }\n"
+            "}\n",
             n, edges, angles.gamma.size(), hw_threads, shots, seed_s,
             fused_s, serial_s, unfused_s, linear_s, cdf_s, speedup,
             fusion_speedup, thread_speedup, sample_speedup, max_err,
@@ -873,69 +724,22 @@ main(int argc, char** argv)
             stages.spectrum_build_ms, stages.spectrum_build_budget_ms,
             stages.noisy_n, stages.noisy_trajectories, stages.noisy_shots,
             stages.noisy_evals, stages.noisy_eval_ms,
-            stages.noisy_eval_budget_ms);
-        if (with_sweep) {
-            std::fprintf(
-                json,
-                "  \"sweep\": {\n"
-                "    \"n\": %d,\n"
-                "    \"layers\": %d,\n"
-                "    \"points\": %lld,\n"
-                "    \"batch\": %lld,\n"
-                "    \"sequential_seconds\": %.6f,\n"
-                "    \"batched_seconds\": %.6f,\n"
-                "    \"sequential_pts_per_sec\": %.3f,\n"
-                "    \"batched_pts_per_sec\": %.3f,\n"
-                "    \"single_speedup\": %.3f,\n"
-                "    \"single_speedup_min\": %.2f,\n"
-                "    \"state_bytes\": %zu,\n"
-                "    \"llc_bytes\": %zu,\n"
-                "    \"single_speedup_gated\": %s,\n"
-                "    \"values_identical\": %s,\n"
-                "    \"shots_identical\": %s,\n"
-                "    \"multi_problems\": %d,\n"
-                "    \"multi_in_flight\": %lld,\n"
-                "    \"multi_pts_per_sec\": %.3f,\n"
-                "    \"multi_scaling\": %.3f,\n"
-                "    \"multi_scaling_min\": %.2f,\n"
-                "    \"multi_scaling_gated\": %s,\n"
-                "    \"memory_budget_bytes\": %zu,\n"
-                "    \"peak_memory_bytes\": %zu,\n"
-                "    \"within_budget\": %s\n"
-                "  }\n"
-                "}\n",
-                sweep.n, sweep.layers,
-                static_cast<long long>(sweep.points),
-                static_cast<long long>(sweep.batch),
-                sweep.sequential_seconds, sweep.batched_seconds,
-                sweep.sequential_pts_per_sec,
-                sweep.batched_pts_per_sec, sweep.single_speedup,
-                sweep.single_speedup_min, sweep.state_bytes,
-                sweep.llc_bytes,
-                sweep.single_speedup_gated ? "true" : "false",
-                sweep.values_identical ? "true" : "false",
-                sweep.shots_identical ? "true" : "false",
-                sweep.multi_problems,
-                static_cast<long long>(sweep.multi_in_flight),
-                sweep.multi_pts_per_sec, sweep.multi_scaling,
-                sweep.multi_scaling_min,
-                sweep.multi_scaling_gated ? "true" : "false",
-                sweep.memory_budget_bytes, sweep.peak_memory_bytes,
-                sweep.within_budget ? "true" : "false");
-        } else {
-            std::fprintf(json, "  \"sweep\": null\n}\n");
-        }
+            stages.noisy_eval_budget_ms, stages.ideal_n,
+            stages.ideal_fill_ms, stages.ideal_phase_ms,
+            stages.ideal_mixer.blocked_ms, stages.ideal_reduce_ms,
+            stages.ideal_split_identical ? "true" : "false",
+            stages.mixer_gated ? "true" : "false",
+            stages.ideal_mixer.sequential_ms, stages.ideal_mixer.ratio,
+            stages.ideal_mixer.ratio_min, stages.mixer15.n,
+            stages.mixer15.blocked_ms, stages.mixer15.sequential_ms,
+            stages.mixer15.ratio, stages.mixer15.ratio_min);
         std::fclose(json);
         std::printf("wrote BENCH_sim.json\n");
     }
     bench::write_metrics_sidecar("sim_scaling");
-    std::printf("stage budgets: %s\n", stages.pass() ? "PASS" : "FAIL");
-    bool pass = speedup >= 2.0 && max_err < 1e-6 &&
-                obj_speedup >= 1.8 && bit_identical && cross_err < 1e-6 &&
-                stages.pass();
-    if (with_sweep) {
-        std::printf("sweep gate: %s\n", sweep.pass() ? "PASS" : "FAIL");
-        pass = pass && sweep.pass();
-    }
+    std::printf("stage gates: %s\n", stages.pass() ? "PASS" : "FAIL");
+    const bool pass = speedup >= 2.0 && max_err < 1e-6 &&
+                      obj_speedup >= 1.8 && bit_identical &&
+                      cross_err < 1e-6 && stages.pass();
     return pass ? 0 : 1;
 }

@@ -146,11 +146,14 @@ struct CompileReport
         double best_value = 0.0;
         double seconds = 0.0;
         double points_per_sec = 0.0;
-        /** Batched-buffer footprint of one evaluator. */
+        /** Buffer bytes the sweep owns beyond its objectives (0:
+         *  every point runs in its objective's scratch state). */
         std::int64_t memory_bytes = 0;
         /** Multi-problem mode (1 = single problem). */
         std::int32_t problems = 1;
         std::int32_t problems_in_flight = 1;
+        /** Cached state of the swept objectives (statevector plus cut
+         *  spectrum each), all held for the whole sweep. */
         std::int64_t peak_memory_bytes = 0;
     };
     Sweep sweep;

@@ -99,10 +99,9 @@ class DiagonalBatch
     /**
      * Read-only view of the lazily baked spectrum, in the exact form
      * apply() consumes: angle(i) = constant + quantum * keys[i] when
-     * uniform, else constant + dense[i]. The sweep engine
-     * (sim/sweep.h) uses it to build per-point phase tables that
-     * replay apply()'s arithmetic bit-for-bit. Pointers stay valid
-     * until the next add_*()/clear().
+     * uniform, else constant + dense[i]. Tests and the stage bench
+     * read the baked keys through it. Pointers stay valid until the
+     * next add_*()/clear().
      */
     struct BakedView
     {

@@ -10,6 +10,7 @@
 #define PERMUQ_SIM_KERNEL_UTIL_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace permuq::sim {
 
@@ -22,6 +23,15 @@ inline std::size_t
 insert_zero(std::size_t h, std::size_t low_mask)
 {
     return ((h & ~low_mask) << 1) | (h & low_mask);
+}
+
+/** Insert @p count zero bits at the position of @p low_mask's top
+ *  bit: the base index of a block of 2^count amplitudes spaced
+ *  low_mask + 1 apart (rx_group's consecutive-qubit groups). */
+inline std::size_t
+insert_zeros(std::size_t h, std::size_t low_mask, std::int32_t count)
+{
+    return ((h & ~low_mask) << count) | (h & low_mask);
 }
 
 /** Expand a 2^(n-2) block index over two qubit positions. @p lo_mask

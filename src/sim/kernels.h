@@ -9,9 +9,9 @@
  * Three tiers provide the table: a portable scalar tier
  * (kernels_scalar.cpp), a hand-vectorized AVX2 tier
  * (kernels_avx2.cpp), and an AVX-512 tier (kernels_avx512.cpp) that
- * overrides the hottest entries — the RX butterflies, the diagonal
- * phase sweep, the expectation reductions, and the batched sweep
- * kernels — and inherits everything else from AVX2.
+ * overrides the hottest entries — the register-blocked RX tile and
+ * group kernels, the diagonal phase sweep, and the expectation
+ * reductions — and inherits everything else from AVX2.
  * Statevector/DiagonalBatch pick the tier once per gate call through
  * active() and hand each parallel_for chunk to the kernel, so thread
  * partitioning (common/parallel.h) and SIMD width compose without
@@ -26,29 +26,24 @@
  *    element sees an identical mul/add/sub sequence (no FMA — all
  *    kernel TUs build with -ffp-contract=off), and fall back to the
  *    shared scalar loop whenever a gate's stride breaks lane
- *    contiguity (qubit index too low for 4 consecutive amplitudes;
- *    AVX-512 lacks addsub, so its complex arithmetic negates
- *    alternate lanes before a plain add — IEEE negation is exact, so
- *    x - (-y) == x + y bit-for-bit).
+ *    contiguity (qubit index too low for 4 consecutive amplitudes),
+ *    except in the RX kernels, which vectorize down to one-register
+ *    columns and pair the lowest qubits with in-register permutes. AVX-512 lacks addsub, so its
+ *    complex multiply negates alternate lanes before a plain add; the
+ *    RX butterflies of both vector tiers multiply by pre-signed
+ *    (s, -s) lanes and add. IEEE negation and round-to-nearest are
+ *    sign-symmetric, so x - (-y) == x + y and x * (-s) == -(x * s)
+ *    bit-for-bit.
  *
- *  - Reductions (norm_sum / weighted_norm_sum and their batched
- *    forms) accumulate into four fixed lanes — element j (relative to
- *    the range begin) lands in lane j mod kReductionLanes — combined
- *    as (l0+l1) + (l2+l3). The scalar tier keeps four explicit
- *    accumulators in the same pattern, and the AVX-512 tier chains
- *    its two 256-bit half-rows through the accumulator in ascending
- *    element order instead of keeping eight independent lanes, so the
- *    sum is a pure function of the element range: invariant to SIMD
- *    width and, composed with the fixed-slice reduction of
- *    common/parallel.h, to thread count.
- *
- *  - Batched sweep kernels (the b* entries) view one "element" as
- *    `batch` interleaved [re, im] points — the storage of
- *    sim/sweep.h's SweepEvaluator, which evaluates many QAOA angle
- *    points per statevector pass. Per (element, point) they perform
- *    exactly the arithmetic of the corresponding unbatched kernel, so
- *    a batched sweep is bit-identical to evaluating each point
- *    sequentially.
+ *  - Reductions (norm_sum / weighted_norm_sum) accumulate into four
+ *    fixed lanes — element j (relative to the range begin) lands in
+ *    lane j mod kReductionLanes — combined as (l0+l1) + (l2+l3). The
+ *    scalar tier keeps four explicit accumulators in the same
+ *    pattern, and the AVX-512 tier chains its two 256-bit half-rows
+ *    through the accumulator in ascending element order instead of
+ *    keeping eight independent lanes, so the sum is a pure function
+ *    of the element range: invariant to SIMD width and, composed with
+ *    the fixed-slice reduction of common/parallel.h, to thread count.
  *
  *  - phase_angles (the mixed-magnitude diagonal fallback) is trig-
  *    bound, not bandwidth-bound; both tiers share one scalar
@@ -72,41 +67,47 @@ namespace permuq::sim::kernels {
 /** Fixed accumulator-lane count of the deterministic reductions. */
 inline constexpr std::size_t kReductionLanes = 4;
 
-/** Hard cap on the point count a batched sweep kernel accepts, so
- *  kernels can keep fixed-size stack lane buffers. */
-inline constexpr std::size_t kMaxSweepBatch = 16;
+/** Most qubits one rx_group call folds into a single traversal. */
+inline constexpr std::int32_t kMaxGroupQubits = 3;
 
 /** One tier's kernel set. All `a`/`y`/`x` pointers are interleaved
- *  [re, im] amplitude storage unless a parameter says otherwise.
- *
- *  Batched (b*) kernels operate on SweepEvaluator storage: batched
- *  element i is `batch` consecutive [re, im] point slots starting at
- *  a + 2*batch*i, point b at a + 2*batch*i + 2*b. `batch` is in
- *  [1, kMaxSweepBatch]. */
+ *  [re, im] amplitude storage unless a parameter says otherwise. */
 struct Table
 {
     /** Tier label ("scalar" / "avx2" / "avx512") for telemetry and
      *  tests. */
     const char* name;
 
-    /** RX(theta) butterfly, c = cos(theta/2), s = sin(theta/2):
-     *  block range [hb, he) over the 2^(n-1) space. */
-    void (*rx)(double* a, std::size_t hb, std::size_t he,
-               std::size_t low_mask, std::size_t bit, double c, double s);
-
-    /** Hadamard butterfly over the same block space. */
+    /** Hadamard butterfly: block range [hb, he) over the 2^(n-1)
+     *  space. */
     void (*h)(double* a, std::size_t hb, std::size_t he,
               std::size_t low_mask, std::size_t bit, double inv_sqrt2);
 
     /**
-     * Fused RX(theta) on two distinct qubits in one pass: block range
-     * [hb, he) over the 2^(n-2) space, pbit/qbit the two qubit bits
-     * (pbit applied first). Bit-identical to rx on pbit followed by
-     * rx on qbit, one memory traversal instead of two.
+     * RX(theta) on every qubit below @p tile_qubits, tile by tile:
+     * tiles [tb, te) of 2^tile_qubits amplitudes each (tile t starts
+     * at amplitude t << tile_qubits). Bit-identical to rx_group with
+     * one level on qubits 0..tile_qubits-1 in ascending order over
+     * those tiles; a tile is closed under these butterflies. Pass 1
+     * of the blocked mixer.
      */
-    void (*rx2)(double* a, std::size_t hb, std::size_t he,
-                std::size_t lo_mask, std::size_t hi_mask,
-                std::size_t pbit, std::size_t qbit, double c, double s);
+    void (*rx_tile)(double* a, std::size_t tb, std::size_t te,
+                    std::int32_t tile_qubits, double c, double s);
+
+    /**
+     * RX(theta), c = cos(theta/2), s = sin(theta/2), on the @p levels
+     * (1..kMaxGroupQubits) consecutive qubits starting at bit = 2^q,
+     * in one traversal: block range [hb, he) over the 2^(n-levels)
+     * space, block h expanding to the 2^levels amplitudes i0 + m*bit
+     * with levels zero bits inserted at q. Each element takes the
+     * detail::rx_pair butterfly of q, q+1, ... in ascending order,
+     * exactly as one single-qubit pass per qubit would apply it. One
+     * level is Statevector::apply_rx; more serve pass 2 of the
+     * blocked mixer and the in-tile levels of pass 1.
+     */
+    void (*rx_group)(double* a, std::size_t hb, std::size_t he,
+                     std::size_t bit, std::int32_t levels, double c,
+                     double s);
 
     /** RZ sweep over amplitude range [ib, ie): multiply by (e0r,e0i)
      *  where the qubit bit is clear, (e1r,e1i) where set. */
@@ -182,47 +183,6 @@ struct Table
     void (*rk4_combine)(double* y, const double* k1, const double* k2,
                         const double* k3, const double* k4, double w,
                         std::size_t b, std::size_t e);
-
-    /**
-     * Batched RX butterfly over the block range [hb, he) of the
-     * 2^(n-1) space: point b of each element pair mixes with
-     * c2[2b]/s2[2b]. c2/s2 hold 2*batch doubles with each point's
-     * cos(theta_b/2)/sin(theta_b/2) duplicated (c2[2b] == c2[2b+1])
-     * so vector tiers can load them packed against [re, im] slots.
-     */
-    void (*brx)(double* a, std::size_t hb, std::size_t he,
-                std::size_t low_mask, std::size_t bit, std::size_t batch,
-                const double* c2, const double* s2);
-
-    /** Batched RX butterfly over two contiguous runs of @p elems
-     *  batched elements each (a0 holds the bit-clear halves) — the
-     *  grouped high-qubit pass of the sweep engine. */
-    void (*brx_pair)(double* a0, double* a1, std::size_t elems,
-                     std::size_t batch, const double* c2,
-                     const double* s2);
-
-    /** Batched fused-diagonal phase sweep over element range [ib, ie):
-     *  point b of element i is multiplied by the [re, im] phase at
-     *  lut + 2*((key[i] + span)*batch + b) — one packed LUT row per
-     *  spectrum key, no gathers needed. */
-    void (*bphase_lut)(double* a, std::size_t ib, std::size_t ie,
-                       const std::int32_t* key, std::int32_t span,
-                       std::size_t batch, const double* lut);
-
-    /** Batched dense phase sweep over [ib, ie): point b of element i
-     *  is multiplied by e^{i * scale[b] * (constant + angle[i])}.
-     *  Trig-bound; shared scalar implementation in every tier. */
-    void (*bphase_angles)(double* a, std::size_t ib, std::size_t ie,
-                          const double* angle, std::size_t batch,
-                          const double* scale, double constant);
-
-    /** Batched objective reduction over [ib, ie): out[b] = sum over i
-     *  of |a_{i,b}|^2 * (table[i] + offset), fixed 4-lane
-     *  accumulation per point (lane (i - ib) mod kReductionLanes). */
-    void (*bweighted_norm_sum)(const double* a, std::size_t batch,
-                               const double* table, double offset,
-                               std::size_t ib, std::size_t ie,
-                               double* out);
 };
 
 /** The portable tier (always available). */

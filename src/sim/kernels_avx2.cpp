@@ -5,16 +5,21 @@
  *
  * Layout: amplitudes are interleaved [re, im], so one __m256d holds
  * two complex values. Complex multiplies use the movedup / permute /
- * addsub arrangement whose per-lane operation sequence matches the
- * scalar helpers in kernels_inline.h exactly; reductions accumulate
- * into the four register lanes (element j of a range lands in lane
- * j mod 4, combined as (l0+l1)+(l2+l3)), which the scalar tier
- * mirrors with four explicit accumulators. Gates vectorize when the
- * qubit stride leaves 4 consecutive amplitudes per group (block mask
- * >= 3, i.e. qubit index >= 2) and fall back to the shared scalar
- * loop otherwise; alignment prologues/tails run the identical
- * per-element helpers, so chunk boundaries (which depend on thread
- * count) cannot perturb any element's value.
+ * addsub arrangement and RX butterflies multiply by pre-signed
+ * (s, -s) lanes; both per-lane operation sequences match the scalar
+ * helpers in kernels_inline.h exactly. Reductions accumulate into the
+ * four register lanes (element j of a range lands in lane j mod 4,
+ * combined as (l0+l1)+(l2+l3)), which the scalar tier mirrors with
+ * four explicit accumulators. Gates vectorize when the qubit stride
+ * leaves 4 consecutive amplitudes per group (block mask >= 3, i.e.
+ * qubit index >= 2) and fall back to the shared scalar loop
+ * otherwise; alignment prologues/tails run the identical per-element
+ * helpers, so chunk boundaries (which depend on thread count) cannot
+ * perturb any element's value. The RX kernels are the exception to
+ * the stride rule: rx_group vectorizes from qubit 1 up (one register
+ * holds a column of two amplitudes), and the tile kernel holds 16
+ * amplitudes in eight registers and pairs qubit 0 with an
+ * in-register permute.
  *
  * This TU builds with -mavx2 -ffp-contract=off; when the toolchain
  * can't target AVX2 the #else branch aliases the scalar tier.
@@ -24,6 +29,8 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "sim/kernel_util.h"
 #include "sim/kernels_inline.h"
@@ -60,18 +67,42 @@ cmul_packed(__m256d v, __m256d p)
     return cmul_broadcast(v, pr, pi);
 }
 
-/** Half an RX butterfly: re' = c*ar_self + s*ai_other,
- *  im' = c*ai_self - s*ar_other (the lane sequence of
- *  detail::rx_pair). @p sign must be set1(-0.0). */
+/** (s, -s) per complex value: the pre-signed sine of rx_mix. */
 inline __m256d
-rx_mix(__m256d self, __m256d other, __m256d c, __m256d s, __m256d sign)
+signed_sin(double s)
 {
-    const __m256d t = _mm256_mul_pd(self, c);
-    const __m256d u = _mm256_mul_pd(swap_halves(other), s);
-    // addsub subtracts in even lanes and adds in odd lanes; negating
-    // u flips that to the +re/-im pattern RX needs. IEEE negation is
-    // exact, so x - (-y) == x + y bit-for-bit.
-    return _mm256_addsub_pd(t, _mm256_xor_pd(u, sign));
+    return _mm256_set_pd(-s, s, -s, s);
+}
+
+/** Half an RX butterfly with the partner's re/im already swapped:
+ *  re' = c*ar_self + s*ai_other, im' = c*ai_self - s*ar_other (the
+ *  lane sequence of detail::rx_pair). @p ss is signed_sin(s);
+ *  round-to-nearest is sign-symmetric, so ar_other * (-s) ==
+ *  -(s * ar_other) and the add equals rx_pair's subtraction
+ *  bit-for-bit. */
+inline __m256d
+rx_mix_swapped(__m256d self, __m256d other_swapped, __m256d c,
+               __m256d ss)
+{
+    return _mm256_add_pd(_mm256_mul_pd(self, c),
+                         _mm256_mul_pd(other_swapped, ss));
+}
+
+/** Half an RX butterfly between two registers of amplitudes. */
+inline __m256d
+rx_mix(__m256d self, __m256d other, __m256d c, __m256d ss)
+{
+    return rx_mix_swapped(self, swap_halves(other), c, ss);
+}
+
+/** Both halves of the RX butterflies between registers @p x and @p y,
+ *  in place. */
+inline void
+rx_butterfly(__m256d& x, __m256d& y, __m256d c, __m256d ss)
+{
+    const __m256d x0 = x;
+    x = rx_mix(x0, y, c, ss);
+    y = rx_mix(y, x0, c, ss);
 }
 
 /** |a|^2 of four consecutive complex values: returns [n0,n1,n2,n3].
@@ -83,41 +114,6 @@ norm4(__m256d a01, __m256d a23)
     const __m256d h = _mm256_hadd_pd(_mm256_mul_pd(a01, a01),
                                      _mm256_mul_pd(a23, a23));
     return _mm256_permute4x64_pd(h, 0xD8); // [n0,n2,n1,n3] -> order
-}
-
-void
-avx2_rx(double* a, std::size_t hb, std::size_t he, std::size_t low_mask,
-        std::size_t bit, double c, double s)
-{
-    if (low_mask < 3) { // qubits 0/1: pairs are not lane-contiguous
-        scalar_table().rx(a, hb, he, low_mask, bit, c, s);
-        return;
-    }
-    std::size_t h = hb;
-    for (; h < he && (h & 3) != 0; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        detail::rx_pair(a + 2 * i0, a + 2 * (i0 | bit), c, s);
-    }
-    const __m256d cv = _mm256_set1_pd(c);
-    const __m256d sv = _mm256_set1_pd(s);
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    for (; h + 4 <= he; h += 4) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        double* p0 = a + 2 * i0;
-        double* p1 = a + 2 * (i0 | bit);
-        const __m256d v0a = _mm256_loadu_pd(p0);
-        const __m256d v0b = _mm256_loadu_pd(p0 + 4);
-        const __m256d v1a = _mm256_loadu_pd(p1);
-        const __m256d v1b = _mm256_loadu_pd(p1 + 4);
-        _mm256_storeu_pd(p0, rx_mix(v0a, v1a, cv, sv, sign));
-        _mm256_storeu_pd(p0 + 4, rx_mix(v0b, v1b, cv, sv, sign));
-        _mm256_storeu_pd(p1, rx_mix(v1a, v0a, cv, sv, sign));
-        _mm256_storeu_pd(p1 + 4, rx_mix(v1b, v0b, cv, sv, sign));
-    }
-    for (; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        detail::rx_pair(a + 2 * i0, a + 2 * (i0 | bit), c, s);
-    }
 }
 
 void
@@ -157,85 +153,114 @@ avx2_h(double* a, std::size_t hb, std::size_t he, std::size_t low_mask,
     }
 }
 
+/** Qubits the AVX2 tile kernel holds in registers: 16 amplitudes in
+ *  eight ymm, qubit 0 within each register, qubits 1-3 across. */
+constexpr std::int32_t kRegisterQubits = 4;
+
+/** RX on the Levels consecutive qubits at @p bit over the block range
+ *  [hb, he) of the 2^(n-Levels) space, which must be even: each step
+ *  holds a column of two consecutive amplitudes from each of the
+ *  2^Levels runs in registers and applies every level there. Needs
+ *  bit >= 2 so a column is one register. */
+template <int Levels>
 void
-avx2_rx2(double* a, std::size_t hb, std::size_t he, std::size_t lo_mask,
-         std::size_t hi_mask, std::size_t pbit, std::size_t qbit,
-         double c, double s)
+group_columns(double* a, std::size_t hb, std::size_t he, std::size_t bit,
+              __m256d cv, __m256d sv)
 {
-    if (lo_mask < 3) {
-        scalar_table().rx2(a, hb, he, lo_mask, hi_mask, pbit, qbit, c,
-                           s);
+    constexpr int kFan = 1 << Levels;
+    for (std::size_t h = hb; h < he; h += 2) {
+        double* p = a + 2 * insert_zeros(h, bit - 1, Levels);
+        __m256d v[kFan];
+#pragma GCC unroll 8
+        for (int m = 0; m < kFan; ++m)
+            v[m] = _mm256_loadu_pd(p + 2 * bit * m);
+#pragma GCC unroll 3
+        for (int l = 0; l < Levels; ++l)
+#pragma GCC unroll 8
+            for (int m = 0; m < kFan; ++m)
+                if ((m & (1 << l)) == 0)
+                    rx_butterfly(v[m], v[m | (1 << l)], cv, sv);
+#pragma GCC unroll 8
+        for (int m = 0; m < kFan; ++m)
+            _mm256_storeu_pd(p + 2 * bit * m, v[m]);
+    }
+}
+
+void
+avx2_rx_group(double* a, std::size_t hb, std::size_t he, std::size_t bit,
+              std::int32_t levels, double c, double s)
+{
+    if (bit < 2) { // qubit 0: a column would split a register
+        scalar_table().rx_group(a, hb, he, bit, levels, c, s);
         return;
     }
-    auto one_block = [=](std::size_t h) {
-        const std::size_t i00 = insert_two_zeros(h, lo_mask, hi_mask);
-        double* p00 = a + 2 * i00;
-        double* pp = a + 2 * (i00 | pbit);
-        double* pq = a + 2 * (i00 | qbit);
-        double* ppq = a + 2 * (i00 | pbit | qbit);
-        detail::rx_pair(p00, pp, c, s);
-        detail::rx_pair(pq, ppq, c, s);
-        detail::rx_pair(p00, pq, c, s);
-        detail::rx_pair(pp, ppq, c, s);
-    };
-    std::size_t h = hb;
-    for (; h < he && (h & 3) != 0; ++h)
-        one_block(h);
+    // Scalar head and tail: parallel_for cuts ranges anywhere, and the
+    // per-element helpers keep every element's arithmetic unchanged.
+    const std::size_t body_b = std::min(he, (hb + 1) & ~std::size_t(1));
+    const std::size_t body_e = std::max(body_b, he & ~std::size_t(1));
+    scalar_table().rx_group(a, hb, body_b, bit, levels, c, s);
     const __m256d cv = _mm256_set1_pd(c);
-    const __m256d sv = _mm256_set1_pd(s);
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    for (; h + 4 <= he; h += 4) {
-        const std::size_t i00 = insert_two_zeros(h, lo_mask, hi_mask);
-        double* p00 = a + 2 * i00;
-        double* pp = a + 2 * (i00 | pbit);
-        double* pq = a + 2 * (i00 | qbit);
-        double* ppq = a + 2 * (i00 | pbit | qbit);
-        __m256d v00a = _mm256_loadu_pd(p00);
-        __m256d v00b = _mm256_loadu_pd(p00 + 4);
-        __m256d vpa = _mm256_loadu_pd(pp);
-        __m256d vpb = _mm256_loadu_pd(pp + 4);
-        __m256d vqa = _mm256_loadu_pd(pq);
-        __m256d vqb = _mm256_loadu_pd(pq + 4);
-        __m256d vpqa = _mm256_loadu_pd(ppq);
-        __m256d vpqb = _mm256_loadu_pd(ppq + 4);
-        // RX on the pbit pairs...
-        __m256d t;
-        t = rx_mix(v00a, vpa, cv, sv, sign);
-        vpa = rx_mix(vpa, v00a, cv, sv, sign);
-        v00a = t;
-        t = rx_mix(v00b, vpb, cv, sv, sign);
-        vpb = rx_mix(vpb, v00b, cv, sv, sign);
-        v00b = t;
-        t = rx_mix(vqa, vpqa, cv, sv, sign);
-        vpqa = rx_mix(vpqa, vqa, cv, sv, sign);
-        vqa = t;
-        t = rx_mix(vqb, vpqb, cv, sv, sign);
-        vpqb = rx_mix(vpqb, vqb, cv, sv, sign);
-        vqb = t;
-        // ...then on the qbit pairs, all still in registers.
-        t = rx_mix(v00a, vqa, cv, sv, sign);
-        vqa = rx_mix(vqa, v00a, cv, sv, sign);
-        v00a = t;
-        t = rx_mix(v00b, vqb, cv, sv, sign);
-        vqb = rx_mix(vqb, v00b, cv, sv, sign);
-        v00b = t;
-        t = rx_mix(vpa, vpqa, cv, sv, sign);
-        vpqa = rx_mix(vpqa, vpa, cv, sv, sign);
-        vpa = t;
-        t = rx_mix(vpb, vpqb, cv, sv, sign);
-        vpqb = rx_mix(vpqb, vpb, cv, sv, sign);
-        vpb = t;
-        _mm256_storeu_pd(p00, v00a);
-        _mm256_storeu_pd(p00 + 4, v00b);
-        _mm256_storeu_pd(pp, vpa);
-        _mm256_storeu_pd(pp + 4, vpb);
-        _mm256_storeu_pd(pq, vqa);
-        _mm256_storeu_pd(pq + 4, vqb);
-        _mm256_storeu_pd(ppq, vpqa);
-        _mm256_storeu_pd(ppq + 4, vpqb);
+    const __m256d sv = signed_sin(s);
+    switch (levels) {
+    case 1:
+        group_columns<1>(a, body_b, body_e, bit, cv, sv);
+        break;
+    case 2:
+        group_columns<2>(a, body_b, body_e, bit, cv, sv);
+        break;
+    default:
+        group_columns<3>(a, body_b, body_e, bit, cv, sv);
+        break;
     }
-    for (; h < he; ++h)
-        one_block(h);
+    scalar_table().rx_group(a, body_e, he, bit, levels, c, s);
+}
+
+void
+avx2_rx_tile(double* a, std::size_t tb, std::size_t te,
+             std::int32_t tile_qubits, double c, double s)
+{
+    if (tile_qubits < kRegisterQubits) {
+        scalar_table().rx_tile(a, tb, te, tile_qubits, c, s);
+        return;
+    }
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d sv = signed_sin(s);
+    const std::size_t tile = std::size_t(1) << tile_qubits;
+    for (std::size_t t = tb; t < te; ++t) {
+        double* tp = a + 2 * t * tile;
+        for (std::size_t blk = 0; blk < tile; blk += 16) {
+            double* p = tp + 2 * blk;
+            __m256d v[8];
+#pragma GCC unroll 8
+            for (int r = 0; r < 8; ++r)
+                v[r] = _mm256_loadu_pd(p + 4 * r);
+            // Qubit 0: the partner is the register's other complex
+            // value; one cross-lane permute brings it re/im-swapped.
+#pragma GCC unroll 8
+            for (int r = 0; r < 8; ++r)
+                v[r] = rx_mix_swapped(
+                    v[r], _mm256_permute4x64_pd(v[r], 0x1B), cv, sv);
+            // Qubits 1-3: the partner of register r is r ^ 2^(q-1).
+#pragma GCC unroll 3
+            for (int k = 0; k < kRegisterQubits - 1; ++k)
+#pragma GCC unroll 8
+                for (int r = 0; r < 8; ++r)
+                    if ((r & (1 << k)) == 0)
+                        rx_butterfly(v[r], v[r | (1 << k)], cv, sv);
+#pragma GCC unroll 8
+            for (int r = 0; r < 8; ++r)
+                _mm256_storeu_pd(p + 4 * r, v[r]);
+        }
+        // The remaining tile qubits, up to three per in-cache sweep.
+        for (std::int32_t q = kRegisterQubits; q < tile_qubits;
+             q += kMaxGroupQubits) {
+            const std::int32_t levels =
+                std::min(kMaxGroupQubits, tile_qubits - q);
+            avx2_rx_group(a, (t * tile) >> levels,
+                          ((t + 1) * tile) >> levels, std::size_t(1) << q,
+                          levels, c, s);
+        }
+    }
 }
 
 void
@@ -502,122 +527,6 @@ avx2_mul_neg_i(double* a, std::size_t ib, std::size_t ie)
 }
 
 void
-avx2_brx(double* a, std::size_t hb, std::size_t he, std::size_t low_mask,
-         std::size_t bit, std::size_t batch, const double* c2,
-         const double* s2)
-{
-    if (batch < 2) { // a lone point leaves no packed [re, im] pair
-        scalar_table().brx(a, hb, he, low_mask, bit, batch, c2, s2);
-        return;
-    }
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    for (std::size_t h = hb; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        double* p0 = a + 2 * batch * i0;
-        double* p1 = a + 2 * batch * (i0 | bit);
-        std::size_t b = 0;
-        for (; b + 2 <= batch; b += 2) {
-            const __m256d cv = _mm256_loadu_pd(c2 + 2 * b);
-            const __m256d sv = _mm256_loadu_pd(s2 + 2 * b);
-            const __m256d v0 = _mm256_loadu_pd(p0 + 2 * b);
-            const __m256d v1 = _mm256_loadu_pd(p1 + 2 * b);
-            _mm256_storeu_pd(p0 + 2 * b, rx_mix(v0, v1, cv, sv, sign));
-            _mm256_storeu_pd(p1 + 2 * b, rx_mix(v1, v0, cv, sv, sign));
-        }
-        for (; b < batch; ++b)
-            detail::rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b],
-                            s2[2 * b]);
-    }
-}
-
-void
-avx2_brx_pair(double* a0, double* a1, std::size_t elems,
-              std::size_t batch, const double* c2, const double* s2)
-{
-    if (batch < 2) {
-        scalar_table().brx_pair(a0, a1, elems, batch, c2, s2);
-        return;
-    }
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    for (std::size_t e = 0; e < elems; ++e) {
-        double* p0 = a0 + 2 * batch * e;
-        double* p1 = a1 + 2 * batch * e;
-        std::size_t b = 0;
-        for (; b + 2 <= batch; b += 2) {
-            const __m256d cv = _mm256_loadu_pd(c2 + 2 * b);
-            const __m256d sv = _mm256_loadu_pd(s2 + 2 * b);
-            const __m256d v0 = _mm256_loadu_pd(p0 + 2 * b);
-            const __m256d v1 = _mm256_loadu_pd(p1 + 2 * b);
-            _mm256_storeu_pd(p0 + 2 * b, rx_mix(v0, v1, cv, sv, sign));
-            _mm256_storeu_pd(p1 + 2 * b, rx_mix(v1, v0, cv, sv, sign));
-        }
-        for (; b < batch; ++b)
-            detail::rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b],
-                            s2[2 * b]);
-    }
-}
-
-void
-avx2_bphase_lut(double* a, std::size_t ib, std::size_t ie,
-                const std::int32_t* key, std::int32_t span,
-                std::size_t batch, const double* lut)
-{
-    if (batch < 2) {
-        scalar_table().bphase_lut(a, ib, ie, key, span, batch, lut);
-        return;
-    }
-    for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t k = static_cast<std::size_t>(key[i] + span);
-        const double* ph = lut + 2 * batch * k;
-        double* p = a + 2 * batch * i;
-        std::size_t b = 0;
-        for (; b + 2 <= batch; b += 2)
-            _mm256_storeu_pd(
-                p + 2 * b, cmul_packed(_mm256_loadu_pd(p + 2 * b),
-                                       _mm256_loadu_pd(ph + 2 * b)));
-        for (; b < batch; ++b)
-            detail::cmul(p + 2 * b, ph[2 * b], ph[2 * b + 1]);
-    }
-}
-
-void
-avx2_bweighted_norm_sum(const double* a, std::size_t batch,
-                        const double* table, double offset,
-                        std::size_t ib, std::size_t ie, double* out)
-{
-    if (batch < 4) {
-        scalar_table().bweighted_norm_sum(a, batch, table, offset, ib,
-                                          ie, out);
-        return;
-    }
-    // Accumulator rows indexed [reduction lane][point]; the vector
-    // body adds four points of one lane row at a time, so each
-    // point's lane sequence matches the scalar tier exactly.
-    alignas(32) double lane[kReductionLanes][kMaxSweepBatch] = {};
-    for (std::size_t i = ib; i < ie; ++i) {
-        const double w = table[i] + offset;
-        const __m256d wv = _mm256_set1_pd(w);
-        const double* p = a + 2 * batch * i;
-        double* lrow = lane[(i - ib) & (kReductionLanes - 1)];
-        std::size_t b = 0;
-        for (; b + 4 <= batch; b += 4) {
-            const __m256d n = norm4(_mm256_loadu_pd(p + 2 * b),
-                                    _mm256_loadu_pd(p + 2 * b + 4));
-            _mm256_store_pd(lrow + b,
-                            _mm256_add_pd(_mm256_load_pd(lrow + b),
-                                          _mm256_mul_pd(n, wv)));
-        }
-        for (; b < batch; ++b)
-            lrow[b] += detail::norm2(p + 2 * b) * w;
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-        const double l[kReductionLanes] = {lane[0][b], lane[1][b],
-                                           lane[2][b], lane[3][b]};
-        out[b] = detail::combine_lanes(l);
-    }
-}
-
-void
 avx2_rk4_combine(double* y, const double* k1, const double* k2,
                  const double* k3, const double* k4, double w,
                  std::size_t b, std::size_t e)
@@ -654,9 +563,9 @@ avx2_table()
 {
     static const Table table = {
         "avx2",
-        avx2_rx,
         avx2_h,
-        avx2_rx2,
+        avx2_rx_tile,
+        avx2_rx_group,
         avx2_rz,
         avx2_rzz,
         avx2_cphase,
@@ -671,11 +580,6 @@ avx2_table()
         avx2_scale,
         avx2_mul_neg_i,
         avx2_rk4_combine,
-        avx2_brx,
-        avx2_brx_pair,
-        avx2_bphase_lut,
-        scalar_table().bphase_angles, // trig-bound; shared (see kernels.h)
-        avx2_bweighted_norm_sum,
     };
     return table;
 }

@@ -4,14 +4,17 @@
  * dispatch design and the determinism contract).
  *
  * Only the hottest kernels are reimplemented at 512-bit width — the
- * RX butterflies, the fused-diagonal phase sweep, the norm/objective
- * reductions, and the batched sweep kernels; everything else is
- * inherited from avx2_table(). Two constraints keep the tier
- * bit-identical to the scalar and AVX2 tiers:
+ * RX tile and group kernels, the fused-diagonal phase sweep, and the
+ * norm/objective reductions;
+ * everything else is inherited from avx2_table(). Two constraints
+ * keep the tier bit-identical to the scalar and AVX2 tiers:
  *
- *  - AVX-512 has no addsub instruction, so complex arithmetic negates
- *    alternate lanes (an exact IEEE operation) and uses a plain add:
- *    x - y == x + (-y) and x - (-y) == x + y bit-for-bit.
+ *  - AVX-512 has no addsub instruction, so the complex multiply
+ *    negates alternate lanes (an exact IEEE operation) and uses a
+ *    plain add: x - y == x + (-y) bit-for-bit. RX butterflies instead
+ *    multiply by pre-signed (s, -s) lanes: round-to-nearest is
+ *    sign-symmetric, so x * (-s) == -(x * s) and the add equals
+ *    rx_pair's subtraction exactly.
  *
  *  - Reductions must keep the fixed 4-lane accumulation order, so the
  *    512-bit bodies compute eight elements' terms at once but chain
@@ -29,6 +32,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "sim/kernel_util.h"
 #include "sim/kernels_inline.h"
 
@@ -41,14 +46,6 @@ inline __m512d
 neg_even()
 {
     return _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
-}
-
-/** -0.0 in the odd (imag) lanes: xor then add emulates the
- *  negated-operand addsub of the RX mix. */
-inline __m512d
-neg_odd()
-{
-    return _mm512_set_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
 }
 
 /** Swap re/im within each complex value. */
@@ -78,14 +75,39 @@ cmul_packed8(__m512d v, __m512d p)
     return cmul_broadcast8(v, pr, pi);
 }
 
-/** Half an RX butterfly, the lane sequence of detail::rx_pair:
- *  re' = c*ar_self + s*ai_other, im' = c*ai_self - s*ar_other. */
+/** (s, -s) per complex value: the pre-signed sine of rx_mix8. */
 inline __m512d
-rx_mix8(__m512d self, __m512d other, __m512d c, __m512d s)
+signed_sin8(double s)
 {
-    const __m512d t = _mm512_mul_pd(self, c);
-    const __m512d u = _mm512_mul_pd(swap_halves8(other), s);
-    return _mm512_add_pd(t, _mm512_xor_pd(u, neg_odd()));
+    return _mm512_set_pd(-s, s, -s, s, -s, s, -s, s);
+}
+
+/** Half an RX butterfly with the partner's re/im already swapped, the
+ *  lane sequence of detail::rx_pair: re' = c*ar_self + s*ai_other,
+ *  im' = c*ai_self + (-s)*ar_other. @p ss is signed_sin8(s). */
+inline __m512d
+rx_mix8_swapped(__m512d self, __m512d other_swapped, __m512d c,
+                __m512d ss)
+{
+    return _mm512_add_pd(_mm512_mul_pd(self, c),
+                         _mm512_mul_pd(other_swapped, ss));
+}
+
+/** Half an RX butterfly between two registers of amplitudes. */
+inline __m512d
+rx_mix8(__m512d self, __m512d other, __m512d c, __m512d ss)
+{
+    return rx_mix8_swapped(self, swap_halves8(other), c, ss);
+}
+
+/** Both halves of the RX butterflies between registers @p x and @p y,
+ *  in place. */
+inline void
+rx_butterfly8(__m512d& x, __m512d& y, __m512d c, __m512d ss)
+{
+    const __m512d x0 = x;
+    x = rx_mix8(x0, y, c, ss);
+    y = rx_mix8(y, x0, c, ss);
 }
 
 /** |a|^2 of eight consecutive complex values from the two 512-bit
@@ -105,94 +127,122 @@ norm8(__m512d x, __m512d y)
     return _mm512_add_pd(re, im);
 }
 
+/** Qubits the tile kernel holds in registers: 64 amplitudes in 16
+ *  zmm, qubits 0-1 within each register, qubits 2-5 across. */
+constexpr std::int32_t kRegisterQubits = 6;
+
+/** RX on the Levels consecutive qubits at @p bit over the block range
+ *  [hb, he) of the 2^(n-Levels) space, which must be a multiple of 4:
+ *  each step holds a column of four consecutive amplitudes from each
+ *  of the 2^Levels runs in registers and applies every level there.
+ *  Needs bit >= 4 so a column is one register. */
+template <int Levels>
 void
-avx512_rx(double* a, std::size_t hb, std::size_t he,
-          std::size_t low_mask, std::size_t bit, double c, double s)
+group_columns8(double* a, std::size_t hb, std::size_t he,
+               std::size_t bit, __m512d cv, __m512d sv)
 {
-    if (low_mask < 3) { // qubits 0/1: pairs are not lane-contiguous
-        scalar_table().rx(a, hb, he, low_mask, bit, c, s);
-        return;
-    }
-    std::size_t h = hb;
-    for (; h < he && (h & 3) != 0; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        detail::rx_pair(a + 2 * i0, a + 2 * (i0 | bit), c, s);
-    }
-    const __m512d cv = _mm512_set1_pd(c);
-    const __m512d sv = _mm512_set1_pd(s);
-    for (; h + 4 <= he; h += 4) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        double* p0 = a + 2 * i0;
-        double* p1 = a + 2 * (i0 | bit);
-        const __m512d v0 = _mm512_loadu_pd(p0);
-        const __m512d v1 = _mm512_loadu_pd(p1);
-        _mm512_storeu_pd(p0, rx_mix8(v0, v1, cv, sv));
-        _mm512_storeu_pd(p1, rx_mix8(v1, v0, cv, sv));
-    }
-    for (; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        detail::rx_pair(a + 2 * i0, a + 2 * (i0 | bit), c, s);
+    constexpr int kFan = 1 << Levels;
+    for (std::size_t h = hb; h < he; h += 4) {
+        double* p = a + 2 * insert_zeros(h, bit - 1, Levels);
+        __m512d v[kFan];
+#pragma GCC unroll 8
+        for (int m = 0; m < kFan; ++m)
+            v[m] = _mm512_loadu_pd(p + 2 * bit * m);
+#pragma GCC unroll 3
+        for (int l = 0; l < Levels; ++l)
+#pragma GCC unroll 8
+            for (int m = 0; m < kFan; ++m)
+                if ((m & (1 << l)) == 0)
+                    rx_butterfly8(v[m], v[m | (1 << l)], cv, sv);
+#pragma GCC unroll 8
+        for (int m = 0; m < kFan; ++m)
+            _mm512_storeu_pd(p + 2 * bit * m, v[m]);
     }
 }
 
 void
-avx512_rx2(double* a, std::size_t hb, std::size_t he,
-           std::size_t lo_mask, std::size_t hi_mask, std::size_t pbit,
-           std::size_t qbit, double c, double s)
+avx512_rx_group(double* a, std::size_t hb, std::size_t he,
+                std::size_t bit, std::int32_t levels, double c, double s)
 {
-    if (lo_mask < 3) {
-        scalar_table().rx2(a, hb, he, lo_mask, hi_mask, pbit, qbit, c,
-                           s);
+    if (bit < 4) { // qubits 0/1: a column would split a register
+        avx2_table().rx_group(a, hb, he, bit, levels, c, s);
         return;
     }
-    auto one_block = [=](std::size_t h) {
-        const std::size_t i00 = insert_two_zeros(h, lo_mask, hi_mask);
-        double* p00 = a + 2 * i00;
-        double* pp = a + 2 * (i00 | pbit);
-        double* pq = a + 2 * (i00 | qbit);
-        double* ppq = a + 2 * (i00 | pbit | qbit);
-        detail::rx_pair(p00, pp, c, s);
-        detail::rx_pair(pq, ppq, c, s);
-        detail::rx_pair(p00, pq, c, s);
-        detail::rx_pair(pp, ppq, c, s);
-    };
-    std::size_t h = hb;
-    for (; h < he && (h & 3) != 0; ++h)
-        one_block(h);
+    // Scalar head and tail: parallel_for cuts ranges anywhere, and the
+    // per-element helpers keep every element's arithmetic unchanged.
+    const std::size_t body_b = std::min(he, (hb + 3) & ~std::size_t(3));
+    const std::size_t body_e = std::max(body_b, he & ~std::size_t(3));
+    scalar_table().rx_group(a, hb, body_b, bit, levels, c, s);
     const __m512d cv = _mm512_set1_pd(c);
-    const __m512d sv = _mm512_set1_pd(s);
-    for (; h + 4 <= he; h += 4) {
-        const std::size_t i00 = insert_two_zeros(h, lo_mask, hi_mask);
-        double* p00 = a + 2 * i00;
-        double* pp = a + 2 * (i00 | pbit);
-        double* pq = a + 2 * (i00 | qbit);
-        double* ppq = a + 2 * (i00 | pbit | qbit);
-        __m512d v00 = _mm512_loadu_pd(p00);
-        __m512d vp = _mm512_loadu_pd(pp);
-        __m512d vq = _mm512_loadu_pd(pq);
-        __m512d vpq = _mm512_loadu_pd(ppq);
-        // RX on the pbit pairs...
-        __m512d t;
-        t = rx_mix8(v00, vp, cv, sv);
-        vp = rx_mix8(vp, v00, cv, sv);
-        v00 = t;
-        t = rx_mix8(vq, vpq, cv, sv);
-        vpq = rx_mix8(vpq, vq, cv, sv);
-        vq = t;
-        // ...then on the qbit pairs, all still in registers.
-        t = rx_mix8(v00, vq, cv, sv);
-        vq = rx_mix8(vq, v00, cv, sv);
-        v00 = t;
-        t = rx_mix8(vp, vpq, cv, sv);
-        vpq = rx_mix8(vpq, vp, cv, sv);
-        vp = t;
-        _mm512_storeu_pd(p00, v00);
-        _mm512_storeu_pd(pp, vp);
-        _mm512_storeu_pd(pq, vq);
-        _mm512_storeu_pd(ppq, vpq);
+    const __m512d sv = signed_sin8(s);
+    switch (levels) {
+    case 1:
+        group_columns8<1>(a, body_b, body_e, bit, cv, sv);
+        break;
+    case 2:
+        group_columns8<2>(a, body_b, body_e, bit, cv, sv);
+        break;
+    default:
+        group_columns8<3>(a, body_b, body_e, bit, cv, sv);
+        break;
     }
-    for (; h < he; ++h)
-        one_block(h);
+    scalar_table().rx_group(a, body_e, he, bit, levels, c, s);
+}
+
+void
+avx512_rx_tile(double* a, std::size_t tb, std::size_t te,
+               std::int32_t tile_qubits, double c, double s)
+{
+    if (tile_qubits < kRegisterQubits) {
+        avx2_table().rx_tile(a, tb, te, tile_qubits, c, s);
+        return;
+    }
+    const __m512d cv = _mm512_set1_pd(c);
+    const __m512d sv = signed_sin8(s);
+    // Qubit 1's partner sits in the other 256-bit half; this index
+    // brings it re/im-swapped: lanes [5,4,7,6,1,0,3,2].
+    const __m512i q1 = _mm512_set_epi64(2, 3, 0, 1, 6, 7, 4, 5);
+    const std::size_t tile = std::size_t(1) << tile_qubits;
+    for (std::size_t t = tb; t < te; ++t) {
+        double* tp = a + 2 * t * tile;
+        for (std::size_t blk = 0; blk < tile; blk += 64) {
+            double* p = tp + 2 * blk;
+            __m512d v[16];
+#pragma GCC unroll 16
+            for (int r = 0; r < 16; ++r)
+                v[r] = _mm512_loadu_pd(p + 8 * r);
+            // Qubit 0: the partner is the neighbouring complex value
+            // in the same 256-bit half; [3,2,1,0] per half brings it
+            // re/im-swapped.
+#pragma GCC unroll 16
+            for (int r = 0; r < 16; ++r)
+                v[r] = rx_mix8_swapped(
+                    v[r], _mm512_permutex_pd(v[r], 0x1B), cv, sv);
+#pragma GCC unroll 16
+            for (int r = 0; r < 16; ++r)
+                v[r] = rx_mix8_swapped(
+                    v[r], _mm512_permutexvar_pd(q1, v[r]), cv, sv);
+            // Qubits 2-5: the partner of register r is r ^ 2^(q-2).
+#pragma GCC unroll 4
+            for (int k = 0; k < kRegisterQubits - 2; ++k)
+#pragma GCC unroll 16
+                for (int r = 0; r < 16; ++r)
+                    if ((r & (1 << k)) == 0)
+                        rx_butterfly8(v[r], v[r | (1 << k)], cv, sv);
+#pragma GCC unroll 16
+            for (int r = 0; r < 16; ++r)
+                _mm512_storeu_pd(p + 8 * r, v[r]);
+        }
+        // The remaining tile qubits, up to three per in-cache sweep.
+        for (std::int32_t q = kRegisterQubits; q < tile_qubits;
+             q += kMaxGroupQubits) {
+            const std::int32_t levels =
+                std::min(kMaxGroupQubits, tile_qubits - q);
+            avx512_rx_group(a, (t * tile) >> levels,
+                            ((t + 1) * tile) >> levels,
+                            std::size_t(1) << q, levels, c, s);
+        }
+    }
 }
 
 void
@@ -279,120 +329,6 @@ avx512_weighted_norm_sum(const double* a, const double* table,
     return detail::combine_lanes(lane);
 }
 
-void
-avx512_brx(double* a, std::size_t hb, std::size_t he,
-           std::size_t low_mask, std::size_t bit, std::size_t batch,
-           const double* c2, const double* s2)
-{
-    if (batch < 4) { // not enough points for a 512-bit lane group
-        avx2_table().brx(a, hb, he, low_mask, bit, batch, c2, s2);
-        return;
-    }
-    for (std::size_t h = hb; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        double* p0 = a + 2 * batch * i0;
-        double* p1 = a + 2 * batch * (i0 | bit);
-        std::size_t b = 0;
-        for (; b + 4 <= batch; b += 4) {
-            const __m512d cv = _mm512_loadu_pd(c2 + 2 * b);
-            const __m512d sv = _mm512_loadu_pd(s2 + 2 * b);
-            const __m512d v0 = _mm512_loadu_pd(p0 + 2 * b);
-            const __m512d v1 = _mm512_loadu_pd(p1 + 2 * b);
-            _mm512_storeu_pd(p0 + 2 * b, rx_mix8(v0, v1, cv, sv));
-            _mm512_storeu_pd(p1 + 2 * b, rx_mix8(v1, v0, cv, sv));
-        }
-        for (; b < batch; ++b)
-            detail::rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b],
-                            s2[2 * b]);
-    }
-}
-
-void
-avx512_brx_pair(double* a0, double* a1, std::size_t elems,
-                std::size_t batch, const double* c2, const double* s2)
-{
-    if (batch < 4) {
-        avx2_table().brx_pair(a0, a1, elems, batch, c2, s2);
-        return;
-    }
-    for (std::size_t e = 0; e < elems; ++e) {
-        double* p0 = a0 + 2 * batch * e;
-        double* p1 = a1 + 2 * batch * e;
-        std::size_t b = 0;
-        for (; b + 4 <= batch; b += 4) {
-            const __m512d cv = _mm512_loadu_pd(c2 + 2 * b);
-            const __m512d sv = _mm512_loadu_pd(s2 + 2 * b);
-            const __m512d v0 = _mm512_loadu_pd(p0 + 2 * b);
-            const __m512d v1 = _mm512_loadu_pd(p1 + 2 * b);
-            _mm512_storeu_pd(p0 + 2 * b, rx_mix8(v0, v1, cv, sv));
-            _mm512_storeu_pd(p1 + 2 * b, rx_mix8(v1, v0, cv, sv));
-        }
-        for (; b < batch; ++b)
-            detail::rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b],
-                            s2[2 * b]);
-    }
-}
-
-void
-avx512_bphase_lut(double* a, std::size_t ib, std::size_t ie,
-                  const std::int32_t* key, std::int32_t span,
-                  std::size_t batch, const double* lut)
-{
-    if (batch < 4) {
-        avx2_table().bphase_lut(a, ib, ie, key, span, batch, lut);
-        return;
-    }
-    for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t k = static_cast<std::size_t>(key[i] + span);
-        const double* ph = lut + 2 * batch * k;
-        double* p = a + 2 * batch * i;
-        std::size_t b = 0;
-        for (; b + 4 <= batch; b += 4)
-            _mm512_storeu_pd(
-                p + 2 * b, cmul_packed8(_mm512_loadu_pd(p + 2 * b),
-                                        _mm512_loadu_pd(ph + 2 * b)));
-        for (; b < batch; ++b)
-            detail::cmul(p + 2 * b, ph[2 * b], ph[2 * b + 1]);
-    }
-}
-
-void
-avx512_bweighted_norm_sum(const double* a, std::size_t batch,
-                          const double* table, double offset,
-                          std::size_t ib, std::size_t ie, double* out)
-{
-    if (batch < 8) {
-        avx2_table().bweighted_norm_sum(a, batch, table, offset, ib,
-                                        ie, out);
-        return;
-    }
-    // Per-point accumulation is element-wise independent across
-    // points, so the vector width only has to respect each point's
-    // 4-lane row assignment — identical to the scalar tier.
-    alignas(64) double lane[kReductionLanes][kMaxSweepBatch] = {};
-    for (std::size_t i = ib; i < ie; ++i) {
-        const double w = table[i] + offset;
-        const __m512d wv = _mm512_set1_pd(w);
-        const double* p = a + 2 * batch * i;
-        double* lrow = lane[(i - ib) & (kReductionLanes - 1)];
-        std::size_t b = 0;
-        for (; b + 8 <= batch; b += 8) {
-            const __m512d n = norm8(_mm512_loadu_pd(p + 2 * b),
-                                    _mm512_loadu_pd(p + 2 * b + 8));
-            _mm512_store_pd(lrow + b,
-                            _mm512_add_pd(_mm512_load_pd(lrow + b),
-                                          _mm512_mul_pd(n, wv)));
-        }
-        for (; b < batch; ++b)
-            lrow[b] += detail::norm2(p + 2 * b) * w;
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-        const double l[kReductionLanes] = {lane[0][b], lane[1][b],
-                                           lane[2][b], lane[3][b]};
-        out[b] = detail::combine_lanes(l);
-    }
-}
-
 } // namespace
 
 bool
@@ -406,9 +342,9 @@ avx512_table()
 {
     static const Table table = {
         "avx512",
-        avx512_rx,
         avx2_table().h,
-        avx512_rx2,
+        avx512_rx_tile,
+        avx512_rx_group,
         avx2_table().rz,
         avx2_table().rzz,
         avx2_table().cphase,
@@ -423,11 +359,6 @@ avx512_table()
         avx2_table().scale,
         avx2_table().mul_neg_i,
         avx2_table().rk4_combine,
-        avx512_brx,
-        avx512_brx_pair,
-        avx512_bphase_lut,
-        scalar_table().bphase_angles, // trig-bound; shared
-        avx512_bweighted_norm_sum,
     };
     return table;
 }

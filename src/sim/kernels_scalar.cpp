@@ -26,16 +26,6 @@ using detail::norm2;
 using detail::rx_pair;
 
 void
-scalar_rx(double* a, std::size_t hb, std::size_t he,
-          std::size_t low_mask, std::size_t bit, double c, double s)
-{
-    for (std::size_t h = hb; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        rx_pair(a + 2 * i0, a + 2 * (i0 | bit), c, s);
-    }
-}
-
-void
 scalar_h(double* a, std::size_t hb, std::size_t he, std::size_t low_mask,
          std::size_t bit, double inv_sqrt2)
 {
@@ -45,23 +35,55 @@ scalar_h(double* a, std::size_t hb, std::size_t he, std::size_t low_mask,
     }
 }
 
+/** rx_group with its level count fixed, so the butterfly loops
+ *  unroll. */
+template <int Levels>
 void
-scalar_rx2(double* a, std::size_t hb, std::size_t he,
-           std::size_t lo_mask, std::size_t hi_mask, std::size_t pbit,
-           std::size_t qbit, double c, double s)
+rx_group_blocks(double* a, std::size_t hb, std::size_t he, std::size_t bit,
+                double c, double s)
 {
+    constexpr std::size_t kFan = std::size_t(1) << Levels;
     for (std::size_t h = hb; h < he; ++h) {
-        const std::size_t i00 = insert_two_zeros(h, lo_mask, hi_mask);
-        double* p00 = a + 2 * i00;
-        double* pp = a + 2 * (i00 | pbit);
-        double* pq = a + 2 * (i00 | qbit);
-        double* ppq = a + 2 * (i00 | pbit | qbit);
-        // RX on pbit pairs first, then on qbit pairs — the exact
-        // per-element sequence of two full rx passes.
-        rx_pair(p00, pp, c, s);
-        rx_pair(pq, ppq, c, s);
-        rx_pair(p00, pq, c, s);
-        rx_pair(pp, ppq, c, s);
+        double* p = a + 2 * insert_zeros(h, bit - 1, Levels);
+        // Level by level, ascending — the exact per-element sequence
+        // of one full rx pass per qubit.
+#pragma GCC unroll 3
+        for (int l = 0; l < Levels; ++l)
+#pragma GCC unroll 8
+            for (std::size_t m = 0; m < kFan; ++m)
+                if ((m & (std::size_t(1) << l)) == 0)
+                    rx_pair(p + 2 * bit * m,
+                            p + 2 * bit * (m | (std::size_t(1) << l)), c,
+                            s);
+    }
+}
+
+/** Pass 1 of the blocked mixer: per tile, one RX sweep per qubit. */
+void
+scalar_rx_tile(double* a, std::size_t tb, std::size_t te,
+               std::int32_t tile_qubits, double c, double s)
+{
+    const std::size_t half = std::size_t(1) << (tile_qubits - 1);
+    for (std::size_t t = tb; t < te; ++t)
+        for (std::int32_t q = 0; q < tile_qubits; ++q)
+            rx_group_blocks<1>(a, t * half, (t + 1) * half,
+                               std::size_t(1) << q, c, s);
+}
+
+void
+scalar_rx_group(double* a, std::size_t hb, std::size_t he,
+                std::size_t bit, std::int32_t levels, double c, double s)
+{
+    switch (levels) {
+    case 1:
+        rx_group_blocks<1>(a, hb, he, bit, c, s);
+        break;
+    case 2:
+        rx_group_blocks<2>(a, hb, he, bit, c, s);
+        break;
+    default:
+        rx_group_blocks<3>(a, hb, he, bit, c, s);
+        break;
     }
 }
 
@@ -206,81 +228,6 @@ scalar_phase_angles(double* a, std::size_t ib, std::size_t ie,
     }
 }
 
-void
-scalar_brx(double* a, std::size_t hb, std::size_t he,
-           std::size_t low_mask, std::size_t bit, std::size_t batch,
-           const double* c2, const double* s2)
-{
-    for (std::size_t h = hb; h < he; ++h) {
-        const std::size_t i0 = insert_zero(h, low_mask);
-        double* p0 = a + 2 * batch * i0;
-        double* p1 = a + 2 * batch * (i0 | bit);
-        for (std::size_t b = 0; b < batch; ++b)
-            rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b], s2[2 * b]);
-    }
-}
-
-void
-scalar_brx_pair(double* a0, double* a1, std::size_t elems,
-                std::size_t batch, const double* c2, const double* s2)
-{
-    for (std::size_t e = 0; e < elems; ++e) {
-        double* p0 = a0 + 2 * batch * e;
-        double* p1 = a1 + 2 * batch * e;
-        for (std::size_t b = 0; b < batch; ++b)
-            rx_pair(p0 + 2 * b, p1 + 2 * b, c2[2 * b], s2[2 * b]);
-    }
-}
-
-void
-scalar_bphase_lut(double* a, std::size_t ib, std::size_t ie,
-                  const std::int32_t* key, std::int32_t span,
-                  std::size_t batch, const double* lut)
-{
-    for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t k = static_cast<std::size_t>(key[i] + span);
-        const double* ph = lut + 2 * batch * k;
-        double* p = a + 2 * batch * i;
-        for (std::size_t b = 0; b < batch; ++b)
-            cmul(p + 2 * b, ph[2 * b], ph[2 * b + 1]);
-    }
-}
-
-/** Batched dense phase sweep: trig-bound, one implementation shared
- *  by every tier. The per-point angle replays phase_angles' exact
- *  scale * (constant + angle[i]) operation sequence. */
-void
-scalar_bphase_angles(double* a, std::size_t ib, std::size_t ie,
-                     const double* angle, std::size_t batch,
-                     const double* scale, double constant)
-{
-    for (std::size_t i = ib; i < ie; ++i) {
-        const double base = constant + angle[i];
-        double* p = a + 2 * batch * i;
-        for (std::size_t b = 0; b < batch; ++b) {
-            const double ang = scale[b] * base;
-            cmul(p + 2 * b, std::cos(ang), std::sin(ang));
-        }
-    }
-}
-
-void
-scalar_bweighted_norm_sum(const double* a, std::size_t batch,
-                          const double* table, double offset,
-                          std::size_t ib, std::size_t ie, double* out)
-{
-    double lane[kMaxSweepBatch][kReductionLanes] = {};
-    for (std::size_t i = ib; i < ie; ++i) {
-        const double w = table[i] + offset;
-        const double* p = a + 2 * batch * i;
-        const std::size_t l = (i - ib) & (kReductionLanes - 1);
-        for (std::size_t b = 0; b < batch; ++b)
-            lane[b][l] += norm2(p + 2 * b) * w;
-    }
-    for (std::size_t b = 0; b < batch; ++b)
-        out[b] = combine_lanes(lane[b]);
-}
-
 } // namespace
 
 const Table&
@@ -288,9 +235,9 @@ scalar_table()
 {
     static const Table table = {
         "scalar",
-        scalar_rx,
         scalar_h,
-        scalar_rx2,
+        scalar_rx_tile,
+        scalar_rx_group,
         scalar_rz,
         scalar_rzz,
         scalar_cphase,
@@ -305,11 +252,6 @@ scalar_table()
         scalar_scale,
         scalar_mul_neg_i,
         scalar_rk4_combine,
-        scalar_brx,
-        scalar_brx_pair,
-        scalar_bphase_lut,
-        scalar_bphase_angles,
-        scalar_bweighted_norm_sum,
     };
     return table;
 }

@@ -172,13 +172,21 @@ QaoaObjective::ideal_expectation(const QaoaAngles& angles)
     span.arg("qubits", num_qubits());
     span.arg("layers", static_cast<std::int64_t>(angles.gamma.size()));
     prepare_ideal(angles);
+    return expectation(sv_);
+}
+
+double
+QaoaObjective::expectation(const Statevector& sv) const
+{
+    fatal_unless(sv.num_qubits() == num_qubits(),
+                 "expectation needs a state of the problem's size");
     const kernels::Table& t = kernels::active_counted();
     const double* a =
-        reinterpret_cast<const double*>(sv_.amplitudes().data());
+        reinterpret_cast<const double*>(sv.amplitudes().data());
     const double* table = cost_table_.data();
     const double offset = offset_;
     return common::parallel_reduce_sum<double>(
-        0, sv_.amplitudes().size(), std::size_t(1) << 13,
+        0, sv.amplitudes().size(), std::size_t(1) << 13,
         [=, &t](std::size_t b, std::size_t e) {
             return t.weighted_norm_sum(a, table, offset, b, e);
         });

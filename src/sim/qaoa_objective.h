@@ -78,6 +78,15 @@ class QaoaObjective
     /** Ideal (noiseless) expected cut <C> at @p angles. */
     double ideal_expectation(const QaoaAngles& angles);
 
+    /** The fused cost batch at unit gamma: a cost layer at gamma is
+     *  cost_batch().apply(sv, -gamma). */
+    const DiagonalBatch& cost_batch() const { return cost_; }
+
+    /** Expected cut <C> of @p sv: the fixed-slice weighted-norm
+     *  reduction against the baked spectrum that ends
+     *  ideal_expectation(). */
+    double expectation(const Statevector& sv) const;
+
     /** Ideal output distribution at @p angles. */
     std::vector<double> ideal_distribution(const QaoaAngles& angles);
 
@@ -102,12 +111,6 @@ class QaoaObjective
     std::size_t memory_bytes() const;
 
   private:
-    /** The batched sweep engine (sim/sweep.h) replays this context's
-     *  exact evaluation arithmetic across many angle points at once;
-     *  it reads the cost batch, the baked spectrum, and the replay
-     *  plan directly instead of widening the public API. */
-    friend class SweepEvaluator;
-
     void build(const std::vector<double>* weights);
     /** Run the ideal circuit at @p angles into the scratch state. */
     void prepare_ideal(const QaoaAngles& angles);

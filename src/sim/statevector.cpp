@@ -94,19 +94,24 @@ Statevector::apply_x(std::int32_t q)
 void
 Statevector::apply_y(std::int32_t q)
 {
+    // Y = [[0, -i], [i, 0]]: -i*(r + mi) = (m, -r), i*(r + mi) = (-m, r).
+    // Written out rather than through std::complex's operator*, whose
+    // NaN-recovery branch keeps the loop scalar; only the sign of an
+    // exactly-zero component can differ from that product.
     const std::size_t bit = std::size_t(1) << q;
     const std::size_t low = bit - 1;
-    const Amplitude pos_i(0.0, 1.0), neg_i(0.0, -1.0);
-    Amplitude* amp = amp_.data();
+    double* a = reinterpret_cast<double*>(amp_.data());
     common::parallel_for(
         0, amp_.size() >> 1, kGrain, [=](std::size_t b, std::size_t e) {
             for (std::size_t h = b; h < e; ++h) {
-                const std::size_t i0 = insert_zero(h, low);
-                const std::size_t i1 = i0 | bit;
-                const Amplitude a0 = amp[i0];
-                const Amplitude a1 = amp[i1];
-                amp[i0] = neg_i * a1;
-                amp[i1] = pos_i * a0;
+                double* p0 = a + 2 * insert_zero(h, low);
+                double* p1 = p0 + 2 * bit;
+                const double r0 = p0[0], m0 = p0[1];
+                const double r1 = p1[0], m1 = p1[1];
+                p0[0] = m1;
+                p0[1] = -r1;
+                p1[0] = -m0;
+                p1[1] = r0;
             }
         });
 }
@@ -127,68 +132,50 @@ Statevector::apply_z(std::int32_t q)
 void
 Statevector::apply_rx(std::int32_t q, double theta)
 {
+    // A one-level rx_group: the mixer's column kernel on one qubit.
     const std::size_t bit = std::size_t(1) << q;
-    const std::size_t low = bit - 1;
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
     const kernels::Table& t = kernels::active_counted();
     double* a = reinterpret_cast<double*>(amp_.data());
     common::parallel_for(
         0, amp_.size() >> 1, kGrain, [=, &t](std::size_t b, std::size_t e) {
-            t.rx(a, b, e, low, bit, c, s);
+            t.rx_group(a, b, e, bit, 1, c, s);
         });
 }
 
 void
 Statevector::apply_rx_all(double theta)
 {
-    // The full RX(theta) mixer layer in two cache-friendly passes
-    // instead of n full-state sweeps (see the header for the traversal
-    // argument). Values are bit-identical to apply_rx on qubits
-    // 0..n-1 in ascending order: within a tile the low qubits see the
-    // same butterflies in the same order, and the fused rx2 kernel
-    // performs the exact per-element sequence of its two passes.
+    // The full RX(theta) mixer layer in two register-blocked passes
+    // (see the header). Values are bit-identical to apply_rx on qubits
+    // 0..n-1 in ascending order: every kernel applies the rx_pair
+    // arithmetic to each element, qubit by qubit, ascending.
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
     const kernels::Table& t = kernels::active_counted();
     double* a = reinterpret_cast<double*>(amp_.data());
 
     // Pass 1: qubits below the tile width, one tile at a time. A
-    // 2^kTileQubits-amplitude tile is closed under these butterflies,
-    // so each tile takes every low-qubit pass while still cache-hot.
+    // 2^kMixerTileQubits-amplitude tile is closed under these
+    // butterflies, so it takes them all while cache-resident.
     const std::int32_t tq =
         std::min<std::int32_t>(kMixerTileQubits, num_qubits_);
-    const std::size_t tile = std::size_t(1) << tq;
-    const std::size_t ntiles = amp_.size() >> tq;
     common::parallel_for(
-        0, ntiles, 1, [=, &t](std::size_t tb, std::size_t te) {
-            for (std::size_t ti = tb; ti < te; ++ti) {
-                const std::size_t h0 = (ti * tile) >> 1;
-                for (std::int32_t q = 0; q < tq; ++q) {
-                    const std::size_t bit = std::size_t(1) << q;
-                    t.rx(a, h0, h0 + (tile >> 1), bit - 1, bit, c, s);
-                }
-            }
+        0, amp_.size() >> tq, 1, [=, &t](std::size_t tb, std::size_t te) {
+            t.rx_tile(a, tb, te, tq, c, s);
         });
 
-    // Pass 2: the remaining high qubits, fused in pairs so each full
-    // traversal of the state applies two butterfly layers.
-    std::int32_t q = tq;
-    for (; q + 1 < num_qubits_; q += 2) {
-        const std::size_t pbit = std::size_t(1) << q;
-        const std::size_t qbit = std::size_t(1) << (q + 1);
-        common::parallel_for(
-            0, amp_.size() >> 2, kGrain,
-            [=, &t](std::size_t b, std::size_t e) {
-                t.rx2(a, b, e, pbit - 1, qbit - 1, pbit, qbit, c, s);
-            });
-    }
-    if (q < num_qubits_) {
+    // Pass 2: the remaining high qubits, up to three per traversal.
+    for (std::int32_t q = tq; q < num_qubits_;
+         q += kernels::kMaxGroupQubits) {
+        const std::int32_t levels =
+            std::min(kernels::kMaxGroupQubits, num_qubits_ - q);
         const std::size_t bit = std::size_t(1) << q;
         common::parallel_for(
-            0, amp_.size() >> 1, kGrain,
+            0, amp_.size() >> levels, kGrain,
             [=, &t](std::size_t b, std::size_t e) {
-                t.rx(a, b, e, bit - 1, bit, c, s);
+                t.rx_group(a, b, e, bit, levels, c, s);
             });
     }
 }

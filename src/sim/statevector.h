@@ -30,9 +30,10 @@ namespace permuq::sim {
 /** Maximum supported qubit count (2^26 amplitudes = 1 GiB). */
 inline constexpr std::int32_t kMaxSimQubits = 26;
 
-/** Tile width (qubits) of the fused mixer pass: 2^12 amplitudes =
- *  64 KiB, sized to sit in L1/L2 while a tile takes all low-qubit
- *  RX butterflies back to back. */
+/** Tile width (qubits) of the mixer's first pass: 2^12 amplitudes =
+ *  64 KiB. That is more than a 32-48 KiB L1d, so a tile sits in L2
+ *  while it takes all of its low-qubit RX butterflies: one register
+ *  block pass plus one sweep per three remaining tile qubits. */
 inline constexpr std::int32_t kMixerTileQubits = 12;
 
 /** |0...0>-initialized dense state over n qubits. */
@@ -70,12 +71,16 @@ class Statevector
 
     /**
      * Apply RX(theta) to every qubit — the QAOA mixer layer — in two
-     * cache-blocked passes instead of n full-state sweeps. Pass 1
-     * walks 2^kMixerTileQubits-amplitude tiles once, applying all
-     * low-qubit butterflies while the tile is cache-hot (a tile is
-     * closed under those butterflies); pass 2 fuses the remaining
-     * high qubits in pairs, so a 22-qubit mixer costs ~6 memory
-     * traversals instead of 22. Bit-identical to calling apply_rx on
+     * register-blocked passes instead of n full-state sweeps. Pass 1
+     * walks 2^kMixerTileQubits-amplitude tiles once (a tile is closed
+     * under its low-qubit butterflies): the SIMD tiers hold a block of
+     * amplitudes in registers and apply the lowest qubits there (64
+     * amplitudes and qubits 0-5 on AVX-512, 16 and 0-3 on AVX2), then
+     * fold the rest of the tile's qubits three per in-cache sweep.
+     * Pass 2 folds the high qubits three per traversal of the state,
+     * so a 22-qubit mixer traverses the state 5 times instead of 22.
+     * The mixer is compute-bound, so most of the gain is fewer loads
+     * and stores per butterfly. Bit-identical to calling apply_rx on
      * qubits 0..n-1 in ascending order.
      */
     void apply_rx_all(double theta);

@@ -1,151 +1,16 @@
 #include "sweep.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cmath>
-#include <complex>
-#include <mutex>
 #include <numbers>
-#include <unordered_set>
 
-#include "common/error.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "common/telemetry/telemetry.h"
-#include "common/types.h"
-#include "sim/kernel_util.h"
-#include "sim/kernels.h"
 #include "sim/simd.h"
 
 namespace permuq::sim {
 
 namespace {
-
-constexpr std::size_t kGrain = kKernelGrain;
-
-/** Footprint budget of one pass-1 tile (all B points of 2^tq
- *  amplitudes). Sized to the L1 data cache so every low-qubit
- *  butterfly re-traversal of the tile is an L1 hit — on machines
- *  whose L2 is barely faster than L3, an L2-resident tile makes the
- *  re-traversals cost as much as full-state passes. */
-constexpr std::size_t kSweepTileBytes = std::size_t(32) << 10;
-
-/** Footprint budget of one pass-1 block (all B points of 2^bq
- *  amplitudes). Sized to stay L2-resident so the mid-qubit
- *  butterflies (tq..bq-1) re-traverse the block at L2 speed: one
- *  DRAM traversal then covers every qubit below bq. */
-constexpr std::size_t kSweepBlockBytes = std::size_t(1) << 20;
-
-/** Working-set budget of one pass-2 column chunk (2^g parallel runs
- *  of `cols` slots each). Sized so the g butterfly levels of a
- *  high-qubit group re-touch the chunk in L2. */
-constexpr std::size_t kSweepColumnBytes = std::size_t(1) << 19;
-
-/** High qubits folded into one pass-2 traversal. Each group of g
- *  qubits reads and writes the state once (2^g contiguous streams),
- *  instead of once per qubit. */
-constexpr std::int32_t kSweepGroupQubits = 3;
-
-/** Reduction grain — must match QaoaObjective::ideal_expectation's
- *  parallel_reduce_sum grain so slice boundaries (and therefore the
- *  fixed-lane sums) are identical. */
-constexpr std::size_t kReduceGrain = std::size_t(1) << 13;
-
-/** Largest q with 2^q slots of @p slot_bytes within @p budget
- *  (floor 1). */
-std::int32_t
-qubits_in_budget(std::size_t budget, std::size_t slot_bytes)
-{
-    const std::size_t slots = std::max<std::size_t>(2, budget / slot_bytes);
-    return static_cast<std::int32_t>(std::bit_width(slots) - 1);
-}
-
-/** The |+>^n amplitude exactly as Statevector::reset_to_plus computes
- *  it (n sequential multiplies by 1/sqrt(2)). */
-double
-plus_amplitude(std::int32_t n)
-{
-    const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-    double v = 1.0;
-    for (std::int32_t q = 0; q < n; ++q)
-        v *= inv_sqrt2;
-    return v;
-}
-
-std::int32_t
-shots_per_trajectory(const NoisySimOptions& options)
-{
-    return std::max(1, options.shots / std::max(1, options.trajectories));
-}
-
-/** One pre-drawn Pauli-error decision (see qaoa_objective.cpp). */
-struct ErrorEvent
-{
-    std::size_t seq;
-    std::int32_t a, b;
-    std::int32_t which;
-};
-
-/**
- * Replica of the sequential shot sampler: CDF once, then per shot one
- * binary search plus the per-qubit readout-flip draws, in the exact
- * RNG order of QaoaObjective's sample_trajectory.
- */
-template <typename ShotSink>
-void
-sample_shots(const Statevector& sv, Xoshiro256& rng,
-             const circuit::Circuit& compiled,
-             const arch::NoiseModel& noise,
-             const NoisySimOptions& options, std::int32_t n,
-             std::int32_t shots_per_traj, ShotSink&& shot_sink)
-{
-    CdfSampler sampler(sv);
-    for (std::int32_t s = 0; s < shots_per_traj; ++s) {
-        std::uint64_t z = sampler.sample(rng);
-        if (options.readout_error && !noise.is_ideal()) {
-            for (std::int32_t l = 0; l < n; ++l) {
-                PhysicalQubit p = compiled.final_mapping().physical_of(l);
-                if (rng.next_double() < noise.readout_error(p))
-                    z ^= std::uint64_t(1) << l;
-            }
-        }
-        shot_sink(z);
-    }
-}
-
-/** True when two Compute ops act on the same logical pair: their
- *  phases would merge inside one replay segment, breaking the
- *  uniform-spectrum batching trick (the batched sweep then delegates
- *  per point). Compiled QAOA circuits have one Compute per edge. */
-bool
-has_duplicate_compute_edges(const circuit::Circuit& compiled)
-{
-    std::unordered_set<std::uint64_t> seen;
-    for (const auto& op : compiled.ops()) {
-        if (op.kind != circuit::OpKind::Compute)
-            continue;
-        const std::uint64_t mask = (std::uint64_t(1) << op.a) |
-                                   (std::uint64_t(1) << op.b);
-        if (!seen.insert(mask).second)
-            return true;
-    }
-    return false;
-}
-
-void
-validate_points(const std::vector<QaoaAngles>& points, bool require_layer)
-{
-    const std::size_t layers = points[0].gamma.size();
-    for (const QaoaAngles& p : points)
-        fatal_unless(p.gamma.size() == p.beta.size() &&
-                         p.gamma.size() == layers,
-                     "sweep points need one gamma and beta per layer, "
-                     "with the same layer count at every point");
-    if (require_layer)
-        fatal_unless(layers > 0,
-                     "need one gamma and beta per QAOA layer");
-}
 
 double
 elapsed_seconds(std::chrono::steady_clock::time_point t0)
@@ -153,16 +18,6 @@ elapsed_seconds(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-void
-record_batch_size(std::size_t nb)
-{
-    if (!telemetry::enabled())
-        return;
-    static telemetry::Histogram& batch_size =
-        telemetry::histogram("permuq.sim.sweep.batch_size");
-    batch_size.record(static_cast<double>(nb));
 }
 
 void
@@ -175,16 +30,18 @@ count_points(std::size_t points)
     swept.add(static_cast<std::int64_t>(points));
 }
 
-/** Waves of at most this many concurrent tasks keep per-task buffers
- *  within the budget; always at least one. */
-std::size_t
-wave_width(std::size_t budget, std::size_t per_task, std::size_t tasks)
+/** Tag the sweep's span and count its points. */
+void
+describe(telemetry::ScopedSpan& span, const char* mode,
+         std::int32_t qubits, const std::vector<QaoaAngles>& points)
 {
-    std::size_t w = std::min(
-        tasks, static_cast<std::size_t>(common::num_threads()));
-    if (per_task > 0)
-        w = std::min(w, std::max<std::size_t>(1, budget / per_task));
-    return std::max<std::size_t>(1, w);
+    span.arg("tier", simd_tier_name(active_simd_tier()));
+    span.arg("mode", mode);
+    span.arg("qubits", qubits);
+    span.arg("layers",
+             static_cast<std::int64_t>(points[0].gamma.size()));
+    span.arg("points", static_cast<std::int64_t>(points.size()));
+    count_points(points.size());
 }
 
 void
@@ -207,337 +64,8 @@ finalize(SweepResult& res, std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
-/** Per-layer, per-chunk phase tables of one batched cost sweep. */
-struct SweepEvaluator::LayerTables
+SweepEvaluator::SweepEvaluator(QaoaObjective& objective) : obj_(objective)
 {
-    bool uniform = false;
-    double constant = 0.0;
-    std::int32_t span = 0;
-    const std::int32_t* keys = nullptr;
-    /** Packed LUT: row k+span holds 2*nb doubles (cos, sin per
-     *  point). */
-    const double* lut = nullptr;
-    const double* dense = nullptr;
-    double scales[kernels::kMaxSweepBatch] = {};
-};
-
-SweepEvaluator::SweepEvaluator(QaoaObjective& objective,
-                               const SweepOptions& options)
-    : obj_(objective), budget_(options.memory_budget_bytes)
-{
-    batch_ = planned_batch(objective, options);
-}
-
-std::int32_t
-SweepEvaluator::spectrum_span(const QaoaObjective& objective)
-{
-    if (objective.cost_.empty())
-        return 0;
-    const DiagonalBatch::BakedView view =
-        objective.cost_.baked_view(objective.num_qubits());
-    return view.uniform ? view.span : 0;
-}
-
-std::int32_t
-SweepEvaluator::uniform_span() const
-{
-    return spectrum_span(obj_);
-}
-
-std::size_t
-SweepEvaluator::memory_bytes(std::int32_t num_qubits,
-                             std::int32_t uniform_span, std::size_t batch)
-{
-    const std::size_t size = std::size_t(1) << num_qubits;
-    std::size_t bytes = size * 2 * batch * sizeof(double);
-    if (uniform_span > 0)
-        bytes += (2 * static_cast<std::size_t>(uniform_span) + 1) * 2 *
-                 batch * sizeof(double);
-    return bytes;
-}
-
-std::size_t
-SweepEvaluator::memory_bytes() const
-{
-    return memory_bytes(obj_.num_qubits(), uniform_span(), batch_);
-}
-
-std::size_t
-SweepEvaluator::planned_batch(const QaoaObjective& objective,
-                              const SweepOptions& options)
-{
-    std::size_t b = std::clamp<std::size_t>(options.batch, 1,
-                                            kernels::kMaxSweepBatch);
-    const std::int32_t span = spectrum_span(objective);
-    // Shrink via multiples of 4 while possible: a 16*b-byte slot is
-    // cache-line aligned only when 4 | b, and an unaligned slot (say
-    // b = 7) straddles lines and drops the vector kernels to their
-    // per-element tails — better to give up a little batch width than
-    // the whole SIMD lane structure.
-    while (b > 1 && memory_bytes(objective.num_qubits(), span, b) >
-                        options.memory_budget_bytes)
-        b = b > 4 ? (b - 1) & ~std::size_t(3) : b - 1;
-    return b;
-}
-
-std::size_t
-SweepEvaluator::planned_memory_bytes(const QaoaObjective& objective,
-                                     const SweepOptions& options)
-{
-    return memory_bytes(objective.num_qubits(), spectrum_span(objective),
-                        planned_batch(objective, options));
-}
-
-void
-SweepEvaluator::ensure_buffers()
-{
-    const std::size_t size = std::size_t(1) << obj_.num_qubits();
-    amp_.resize(2 * batch_ * size);
-    const std::int32_t span = uniform_span();
-    if (span > 0)
-        lut_.resize((2 * static_cast<std::size_t>(span) + 1) * 2 *
-                    batch_);
-}
-
-void
-SweepEvaluator::build_layer_tables(const QaoaAngles* pts, std::size_t nb,
-                                   std::size_t layer, LayerTables& tables,
-                                   std::vector<double>& lut_storage)
-{
-    const std::int32_t n = obj_.num_qubits();
-    const DiagonalBatch::BakedView view = obj_.cost_.baked_view(n);
-    if (telemetry::enabled()) {
-        static telemetry::Histogram& fusion =
-            telemetry::histogram("permuq.sim.fusion.batch_size");
-        fusion.record(static_cast<double>(obj_.cost_.num_terms()));
-    }
-    tables.uniform = view.uniform;
-    tables.constant = view.constant;
-    for (std::size_t b = 0; b < nb; ++b)
-        tables.scales[b] = -pts[b].gamma[layer];
-    if (view.uniform) {
-        tables.span = view.span;
-        tables.keys = view.keys;
-        const std::size_t rows =
-            2 * static_cast<std::size_t>(view.span) + 1;
-        lut_storage.resize(rows * 2 * nb);
-        double* lut = lut_storage.data();
-        for (std::int32_t k = -view.span; k <= view.span; ++k) {
-            const std::size_t row =
-                static_cast<std::size_t>(k + view.span) * nb;
-            for (std::size_t b = 0; b < nb; ++b) {
-                // Exactly DiagonalBatch::apply's LUT formula, with
-                // this point's scale.
-                const double ang =
-                    tables.scales[b] * (view.constant + view.quantum * k);
-                lut[2 * (row + b)] = std::cos(ang);
-                lut[2 * (row + b) + 1] = std::sin(ang);
-            }
-        }
-        tables.lut = lut;
-    } else {
-        tables.dense = view.dense;
-    }
-}
-
-void
-SweepEvaluator::fill_plus(double* state, std::size_t nb)
-{
-    const std::size_t size = std::size_t(1) << obj_.num_qubits();
-    const double v = plus_amplitude(obj_.num_qubits());
-    common::parallel_for(
-        0, size, kGrain, [=](std::size_t ib, std::size_t ie) {
-            for (std::size_t i = ib; i < ie; ++i) {
-                double* p = state + 2 * nb * i;
-                for (std::size_t b = 0; b < nb; ++b) {
-                    p[2 * b] = v;
-                    p[2 * b + 1] = 0.0;
-                }
-            }
-        });
-}
-
-void
-SweepEvaluator::mixer_layer(double* state, std::size_t nb,
-                            const LayerTables* phase, const double* c2,
-                            const double* s2, bool fill)
-{
-    const std::int32_t n = obj_.num_qubits();
-    const std::size_t size = std::size_t(1) << n;
-    const std::size_t sd = 2 * nb; // doubles per amplitude slot
-    const std::size_t slot_bytes = sd * 8;
-    const std::int32_t tq =
-        std::min(qubits_in_budget(kSweepTileBytes, slot_bytes), n);
-    const std::int32_t bq = std::max(
-        tq, std::min(qubits_in_budget(kSweepBlockBytes, slot_bytes), n));
-    const std::size_t tile = std::size_t(1) << tq;
-    const std::size_t block = std::size_t(1) << bq;
-    const std::size_t nblocks = size >> bq;
-    const kernels::Table& t = kernels::active_counted();
-    const double fillv = fill ? plus_amplitude(n) : 0.0;
-
-    // Pass 1: one DRAM traversal covers fill, the B-wide diagonal
-    // cost rotation, and every qubit below bq. Within an L2-resident
-    // block, L1-resident tiles run fill -> phase -> rx(0..tq-1) while
-    // each tile is hot, then the mid qubits tq..bq-1 sweep the whole
-    // block while it is still L2-resident. Per-element order matches
-    // the sequential fill -> phase sweep -> rx(0..bq-1) exactly: a
-    // tile (block) is closed under its butterflies, and the phase
-    // sweep is element-wise.
-    common::parallel_for(
-        0, nblocks, 1, [&](std::size_t blb, std::size_t ble) {
-            for (std::size_t bi = blb; bi < ble; ++bi) {
-                const std::size_t b0 = bi * block;
-                for (std::size_t i0 = b0; i0 < b0 + block; i0 += tile) {
-                    if (fill) {
-                        double* p = state + sd * i0;
-                        const std::size_t slots = tile * nb;
-                        for (std::size_t s = 0; s < slots; ++s) {
-                            p[2 * s] = fillv;
-                            p[2 * s + 1] = 0.0;
-                        }
-                    }
-                    if (phase != nullptr) {
-                        if (phase->uniform)
-                            t.bphase_lut(state, i0, i0 + tile,
-                                         phase->keys, phase->span, nb,
-                                         phase->lut);
-                        else
-                            t.bphase_angles(state, i0, i0 + tile,
-                                            phase->dense, nb,
-                                            phase->scales,
-                                            phase->constant);
-                    }
-                    for (std::int32_t q = 0; q < tq; ++q) {
-                        const std::size_t bit = std::size_t(1) << q;
-                        t.brx(state, i0 >> 1, (i0 >> 1) + (tile >> 1),
-                              bit - 1, bit, nb, c2, s2);
-                    }
-                }
-                for (std::int32_t q = tq; q < bq; ++q) {
-                    const std::size_t bit = std::size_t(1) << q;
-                    t.brx(state, b0 >> 1, (b0 >> 1) + (block >> 1),
-                          bit - 1, bit, nb, c2, s2);
-                }
-            }
-        });
-
-    // Pass 2: the high qubits (bq..n-1) in groups of g, one DRAM
-    // traversal per group instead of per qubit. A group's 2^g runs of
-    // 2^q0 contiguous slots are walked in column chunks: `cols` slots
-    // from each run — 2^g sequential streams the hardware prefetcher
-    // tracks — stay L2-resident while all g butterfly levels are
-    // applied via brx_pair on the in-chunk run pairs. (The previous
-    // design gathered strided pencils into an L1 scratch; at high q0
-    // the gather stride is megabytes, and the resulting TLB-miss-per-
-    // slot walk was measured ~3x slower than these contiguous
-    // streams.) Bit-identical to rx on each qubit in ascending order:
-    // chunks are disjoint and closed under the group's bits, levels
-    // run rel-ascending, and brx_pair applies the same per-element
-    // arithmetic as rx.
-    std::int32_t q0 = bq;
-    while (q0 < n) {
-        const std::int32_t g = std::min<std::int32_t>(kSweepGroupQubits,
-                                                      n - q0);
-        const std::size_t run = std::size_t(1) << q0;
-        const std::size_t fan = std::size_t(1) << g;
-        const std::size_t groups = size >> (q0 + g);
-        const std::size_t cols = std::min(
-            run, std::max<std::size_t>(
-                     1, kSweepColumnBytes / (fan * slot_bytes)));
-        const std::size_t nchunks = (run + cols - 1) / cols;
-        common::parallel_for(
-            0, groups * nchunks, 1,
-            [&](std::size_t wb, std::size_t we) {
-                for (std::size_t w = wb; w < we; ++w) {
-                    const std::size_t base = (w / nchunks) << (q0 + g);
-                    const std::size_t c0 = (w % nchunks) * cols;
-                    const std::size_t len = std::min(cols, run - c0);
-                    for (std::int32_t rel = 0; rel < g; ++rel) {
-                        const std::size_t rbit = std::size_t(1) << rel;
-                        for (std::size_t m = 0; m < fan; ++m) {
-                            if (m & rbit)
-                                continue;
-                            double* a0 =
-                                state + sd * (base + m * run + c0);
-                            double* a1 = state +
-                                         sd * (base + (m | rbit) * run +
-                                               c0);
-                            t.brx_pair(a0, a1, len, nb, c2, s2);
-                        }
-                    }
-                }
-            });
-        q0 += g;
-    }
-}
-
-void
-SweepEvaluator::reduce_expectation(const double* state, std::size_t nb,
-                                   double* out)
-{
-    const std::size_t size = std::size_t(1) << obj_.num_qubits();
-    const kernels::Table& t = kernels::active_counted();
-    const double* table = obj_.cost_table_.data();
-    const double offset = obj_.offset_;
-    // Replicates parallel_reduce_sum(0, size, 1 << 13, ...): same
-    // slice boundaries, per-point partials combined in slice order,
-    // single direct call when one slice — so each point's sum is
-    // bit-identical to the sequential objective reduction.
-    const std::size_t slices =
-        common::reduction_slices(size, kReduceGrain);
-    if (slices <= 1) {
-        t.bweighted_norm_sum(state, nb, table, offset, 0, size, out);
-        return;
-    }
-    std::vector<double> partial(slices * nb, 0.0);
-    common::parallel_tasks(
-        static_cast<std::int64_t>(slices), [&](std::int64_t s) {
-            const std::size_t b =
-                size * static_cast<std::size_t>(s) / slices;
-            const std::size_t e =
-                size * (static_cast<std::size_t>(s) + 1) / slices;
-            t.bweighted_norm_sum(state, nb, table, offset, b, e,
-                                 partial.data() +
-                                     static_cast<std::size_t>(s) * nb);
-        });
-    for (std::size_t b = 0; b < nb; ++b) {
-        double sum = 0.0;
-        for (std::size_t s = 0; s < slices; ++s)
-            sum += partial[s * nb + b];
-        out[b] = sum;
-    }
-}
-
-void
-SweepEvaluator::run_ideal_chunk(const QaoaAngles* pts, std::size_t nb,
-                                double* out)
-{
-    const std::size_t layers = pts[0].gamma.size();
-    const bool have_phase = !obj_.cost_.empty();
-    LayerTables tables;
-    alignas(64) double c2[2 * kernels::kMaxSweepBatch];
-    alignas(64) double s2[2 * kernels::kMaxSweepBatch];
-    if (layers == 0)
-        fill_plus(amp_.data(), nb);
-    for (std::size_t layer = 0; layer < layers; ++layer) {
-        if (have_phase)
-            build_layer_tables(pts, nb, layer, tables, lut_);
-        for (std::size_t b = 0; b < nb; ++b) {
-            // theta = 2 * beta, c = cos(theta/2), s = sin(theta/2):
-            // the literal apply_rx_all arithmetic.
-            const double theta = 2.0 * pts[b].beta[layer];
-            const double c = std::cos(theta / 2.0);
-            const double s = std::sin(theta / 2.0);
-            c2[2 * b] = c;
-            c2[2 * b + 1] = c;
-            s2[2 * b] = s;
-            s2[2 * b + 1] = s;
-        }
-        mixer_layer(amp_.data(), nb, have_phase ? &tables : nullptr, c2,
-                    s2, /*fill=*/layer == 0);
-    }
-    reduce_expectation(amp_.data(), nb, out);
 }
 
 SweepResult
@@ -545,298 +73,16 @@ SweepEvaluator::ideal_sweep(const std::vector<QaoaAngles>& points)
 {
     SweepResult res;
     res.points = points.size();
-    res.batch = batch_;
-    res.memory_bytes = memory_bytes();
     if (points.empty())
         return res;
-    validate_points(points, /*require_layer=*/false);
     telemetry::ScopedSpan span("sim.sweep.eval");
-    span.arg("tier", simd_tier_name(active_simd_tier()));
-    span.arg("mode", "ideal");
-    span.arg("qubits", obj_.num_qubits());
-    span.arg("layers",
-             static_cast<std::int64_t>(points[0].gamma.size()));
-    span.arg("points", static_cast<std::int64_t>(points.size()));
-    span.arg("batch", static_cast<std::int64_t>(batch_));
-    count_points(points.size());
+    describe(span, "ideal", obj_.num_qubits(), points);
     const auto t0 = std::chrono::steady_clock::now();
-    ensure_buffers();
-    res.values.resize(points.size());
-    for (std::size_t start = 0; start < points.size(); start += batch_) {
-        const std::size_t nb = std::min(batch_, points.size() - start);
-        record_batch_size(nb);
-        run_ideal_chunk(points.data() + start, nb,
-                        res.values.data() + start);
-    }
+    res.values.reserve(points.size());
+    for (const QaoaAngles& angles : points)
+        res.values.push_back(obj_.ideal_expectation(angles));
     finalize(res, t0);
     return res;
-}
-
-template <typename PointSink>
-void
-SweepEvaluator::run_noisy_chunk(const circuit::Circuit& compiled,
-                                const arch::NoiseModel& noise,
-                                const QaoaAngles* pts, std::size_t nb,
-                                const NoisySimOptions& options,
-                                std::size_t extra_bytes_per_point,
-                                PointSink&& sink)
-{
-    const std::int32_t n = obj_.num_qubits();
-    const std::size_t size = std::size_t(1) << n;
-    const std::int32_t layers =
-        static_cast<std::int32_t>(pts[0].gamma.size());
-    const auto& cx_cost = obj_.plan_for(compiled).cx_cost;
-    const bool have_phase = !obj_.cost_.empty();
-
-    auto run_one = [&](std::int64_t traj) {
-        telemetry::ScopedSpan span("sim.trajectory");
-        span.arg("traj", traj);
-        Xoshiro256 rng(options.seed);
-        for (std::int64_t j = 0; j < traj; ++j)
-            rng.jump();
-
-        std::vector<double> state(2 * nb * size);
-        double* a = state.data();
-        fill_plus(a, nb);
-
-        std::vector<ErrorEvent> events;
-        std::vector<double> seg_lut;
-        std::vector<double> cost_lut;
-        LayerTables tables;
-        DiagonalBatch seg;
-        alignas(64) double c2[2 * kernels::kMaxSweepBatch];
-        alignas(64) double s2[2 * kernels::kMaxSweepBatch];
-        double gneg[kernels::kMaxSweepBatch];
-
-        // Apply the pending unit-coefficient segment at per-point
-        // scale -gamma_b. The segment's |coeff| is uniformly 1/2, so
-        // angle = -gamma_b * (k/2) — the same single-rounding product
-        // as the sequential segment's 1.0 * ((gamma/2) * k) — and the
-        // sign flip between the unit and sequential key tables
-        // cancels against the scale's sign. Bit-identical per point.
-        auto flush = [&] {
-            if (seg.empty())
-                return;
-            if (telemetry::enabled()) {
-                static telemetry::Histogram& fusion =
-                    telemetry::histogram("permuq.sim.fusion.batch_size");
-                fusion.record(static_cast<double>(seg.num_terms()));
-            }
-            const DiagonalBatch::BakedView v = seg.baked_view(n);
-            fatal_unless(v.uniform,
-                         "replay segment spectrum must be uniform");
-            const std::size_t rows =
-                2 * static_cast<std::size_t>(v.span) + 1;
-            seg_lut.resize(rows * 2 * nb);
-            double* lut = seg_lut.data();
-            for (std::int32_t k = -v.span; k <= v.span; ++k) {
-                const std::size_t row =
-                    static_cast<std::size_t>(k + v.span) * nb;
-                for (std::size_t b = 0; b < nb; ++b) {
-                    const double ang =
-                        gneg[b] * (v.constant + v.quantum * k);
-                    lut[2 * (row + b)] = std::cos(ang);
-                    lut[2 * (row + b) + 1] = std::sin(ang);
-                }
-            }
-            const kernels::Table& t = kernels::active_counted();
-            common::parallel_for(
-                0, size, kGrain,
-                [&](std::size_t ib, std::size_t ie) {
-                    t.bphase_lut(a, ib, ie, v.keys, v.span, nb, lut);
-                });
-            seg.clear();
-        };
-
-        // Batched Pauli replicas. X is a swap and Z a negation (both
-        // exact); Y multiplies by -i/+i with the literal complex
-        // formula (every product by 0/±1 is exact), so all three are
-        // bit-identical to the sequential apply_x/y/z.
-        auto bpauli = [&](std::int32_t q, std::int32_t which) {
-            if (which == 0)
-                return;
-            const std::size_t bit = std::size_t(1) << q;
-            const std::size_t low = bit - 1;
-            common::parallel_for(
-                0, size >> 1, kGrain,
-                [&](std::size_t hb, std::size_t he) {
-                    for (std::size_t h = hb; h < he; ++h) {
-                        const std::size_t i0 = insert_zero(h, low);
-                        double* p0 = a + 2 * nb * i0;
-                        double* p1 = a + 2 * nb * (i0 | bit);
-                        switch (which) {
-                        case 1:
-                            for (std::size_t s = 0; s < 2 * nb; ++s)
-                                std::swap(p0[s], p1[s]);
-                            break;
-                        case 2:
-                            for (std::size_t b = 0; b < nb; ++b) {
-                                const double r0 = p0[2 * b];
-                                const double m0 = p0[2 * b + 1];
-                                const double r1 = p1[2 * b];
-                                const double m1 = p1[2 * b + 1];
-                                p0[2 * b] = 0.0 * r1 - (-1.0) * m1;
-                                p0[2 * b + 1] = 0.0 * m1 + (-1.0) * r1;
-                                p1[2 * b] = 0.0 * r0 - 1.0 * m0;
-                                p1[2 * b + 1] = 0.0 * m0 + 1.0 * r0;
-                            }
-                            break;
-                        default:
-                            for (std::size_t s = 0; s < 2 * nb; ++s)
-                                p1[s] = -p1[s];
-                            break;
-                        }
-                    }
-                });
-        };
-
-        // Batched RZZ for the unfused replay: per point the literal
-        // apply_rzz arithmetic (theta = -gamma * 1.0, polar phases,
-        // one complex multiply per amplitude).
-        auto brzz = [&](std::int32_t qa, std::int32_t qb) {
-            double pr[2][kernels::kMaxSweepBatch];
-            double pi[2][kernels::kMaxSweepBatch];
-            for (std::size_t b = 0; b < nb; ++b) {
-                const double theta = gneg[b] * 1.0;
-                const std::complex<double> same =
-                    std::polar(1.0, -theta / 2.0);
-                const std::complex<double> diff =
-                    std::polar(1.0, theta / 2.0);
-                pr[1][b] = same.real();
-                pi[1][b] = same.imag();
-                pr[0][b] = diff.real();
-                pi[0][b] = diff.imag();
-            }
-            const std::size_t abit = std::size_t(1) << qa;
-            const std::size_t bbit = std::size_t(1) << qb;
-            common::parallel_for(
-                0, size, kGrain, [&](std::size_t ib, std::size_t ie) {
-                    for (std::size_t i = ib; i < ie; ++i) {
-                        const std::size_t aligned =
-                            ((i & abit) != 0) == ((i & bbit) != 0) ? 1
-                                                                   : 0;
-                        double* p = a + 2 * nb * i;
-                        for (std::size_t b = 0; b < nb; ++b) {
-                            const double ar = p[2 * b];
-                            const double ai = p[2 * b + 1];
-                            const double cr = pr[aligned][b];
-                            const double ci = pi[aligned][b];
-                            p[2 * b] = ar * cr - ai * ci;
-                            p[2 * b + 1] = ai * cr + ar * ci;
-                        }
-                    }
-                });
-        };
-
-        for (std::int32_t layer = 0; layer < layers; ++layer) {
-            const std::size_t l = static_cast<std::size_t>(layer);
-            for (std::size_t b = 0; b < nb; ++b) {
-                gneg[b] = -pts[b].gamma[l];
-                const double theta = 2.0 * pts[b].beta[l];
-                const double c = std::cos(theta / 2.0);
-                const double s = std::sin(theta / 2.0);
-                c2[2 * b] = c;
-                c2[2 * b + 1] = c;
-                s2[2 * b] = s;
-                s2[2 * b + 1] = s;
-            }
-            const bool reversed = layer % 2 == 1;
-            // Pre-draw the layer's error decisions in the exact
-            // sequential RNG order. The draws are angle-independent,
-            // so one stream serves every point of the batch.
-            events.clear();
-            std::size_t seq = 0;
-            circuit::for_each_replayed(
-                compiled, reversed,
-                [&](const circuit::ScheduledOp& op, std::size_t i) {
-                    const double e = noise.cx_error(op.p, op.q);
-                    for (std::int8_t c = 0; c < cx_cost[i]; ++c) {
-                        if (rng.next_double() >= e)
-                            continue;
-                        const std::int32_t which =
-                            static_cast<std::int32_t>(
-                                rng.next_below(15)) + 1;
-                        events.push_back({seq, op.a, op.b, which});
-                    }
-                    ++seq;
-                });
-
-            if (events.empty() && options.fuse_diagonals) {
-                // Error-free layer: cost phase + mixer in one fused
-                // batched pass set (the sequential cached sweep).
-                if (have_phase)
-                    build_layer_tables(pts, nb, l, tables, cost_lut);
-                mixer_layer(a, nb, have_phase ? &tables : nullptr, c2,
-                            s2, /*fill=*/false);
-            } else {
-                std::size_t cursor = 0;
-                std::size_t replay_seq = 0;
-                circuit::for_each_replayed(
-                    compiled, reversed,
-                    [&](const circuit::ScheduledOp& op, std::size_t) {
-                        while (cursor < events.size() &&
-                               events[cursor].seq == replay_seq) {
-                            const ErrorEvent& ev = events[cursor];
-                            flush();
-                            if (ev.a != kInvalidQubit)
-                                bpauli(ev.a, ev.which & 3);
-                            if (ev.b != kInvalidQubit)
-                                bpauli(ev.b, ev.which >> 2);
-                            ++cursor;
-                        }
-                        if (op.kind == circuit::OpKind::Compute) {
-                            if (options.fuse_diagonals)
-                                seg.add_rzz(op.a, op.b, 1.0);
-                            else
-                                brzz(op.a, op.b);
-                        }
-                        ++replay_seq;
-                    });
-                flush();
-                mixer_layer(a, nb, nullptr, c2, s2, /*fill=*/false);
-            }
-        }
-
-        // Hand each point's state to the sink: copy it out to a
-        // scratch statevector and give the sink its own copy of the
-        // shared RNG — the sequential per-point stream state at this
-        // moment, since the evolution itself draws nothing.
-        Statevector scratch(n);
-        auto& samp = scratch.amplitudes_mut();
-        for (std::size_t b = 0; b < nb; ++b) {
-            common::parallel_for(
-                0, size, kGrain, [&](std::size_t ib, std::size_t ie) {
-                    for (std::size_t i = ib; i < ie; ++i)
-                        samp[i] = Statevector::Amplitude(
-                            a[2 * nb * i + 2 * b],
-                            a[2 * nb * i + 2 * b + 1]);
-                });
-            Xoshiro256 prng = rng;
-            sink(static_cast<std::int32_t>(traj), b, scratch, prng);
-        }
-    };
-
-    const std::int64_t trajectories = options.trajectories;
-    const std::size_t per_traj =
-        size * (2 * nb + 3) * sizeof(double) +
-        extra_bytes_per_point * nb;
-    const bool parallel =
-        trajectories > 1 && common::num_threads() > 1;
-    const std::size_t w = wave_width(
-        budget_, per_traj,
-        parallel ? static_cast<std::size_t>(trajectories) : 1);
-    if (!parallel || w <= 1) {
-        for (std::int64_t t = 0; t < trajectories; ++t)
-            run_one(t);
-    } else {
-        for (std::int64_t t0 = 0; t0 < trajectories;
-             t0 += static_cast<std::int64_t>(w)) {
-            const std::int64_t cnt = std::min<std::int64_t>(
-                static_cast<std::int64_t>(w), trajectories - t0);
-            common::parallel_tasks(
-                cnt, [&](std::int64_t k) { run_one(t0 + k); });
-        }
-    }
 }
 
 SweepResult
@@ -847,66 +93,15 @@ SweepEvaluator::noisy_sweep(const circuit::Circuit& compiled,
 {
     SweepResult res;
     res.points = points.size();
-    res.batch = batch_;
-    res.memory_bytes = memory_bytes();
     if (points.empty())
         return res;
-    validate_points(points, /*require_layer=*/true);
     telemetry::ScopedSpan span("sim.sweep.eval");
-    span.arg("tier", simd_tier_name(active_simd_tier()));
-    span.arg("mode", "noisy");
-    span.arg("qubits", obj_.num_qubits());
-    span.arg("layers",
-             static_cast<std::int64_t>(points[0].gamma.size()));
-    span.arg("points", static_cast<std::int64_t>(points.size()));
-    span.arg("batch", static_cast<std::int64_t>(batch_));
-    count_points(points.size());
+    describe(span, "noisy", obj_.num_qubits(), points);
     const auto t0 = std::chrono::steady_clock::now();
-    res.values.resize(points.size());
-
-    if (obj_.weighted() || has_duplicate_compute_edges(compiled)) {
-        // Mixed-magnitude phase products round differently under the
-        // batched formulation; evaluate per point instead.
-        for (std::size_t i = 0; i < points.size(); ++i)
-            res.values[i] = obj_.noisy_expectation(compiled, noise,
-                                                   points[i], options);
-        finalize(res, t0);
-        return res;
-    }
-
-    const std::int32_t n = obj_.num_qubits();
-    const std::int32_t spt = shots_per_trajectory(options);
-    const std::int32_t traj_count = std::max(1, options.trajectories);
-    for (std::size_t start = 0; start < points.size(); start += batch_) {
-        const std::size_t nb = std::min(batch_, points.size() - start);
-        record_batch_size(nb);
-        std::vector<double> partial(
-            static_cast<std::size_t>(traj_count) * nb, 0.0);
-        run_noisy_chunk(
-            compiled, noise, points.data() + start, nb, options, 0,
-            [&](std::int32_t traj, std::size_t b, const Statevector& sv,
-                Xoshiro256& rng) {
-                double total = 0.0;
-                sample_shots(sv, rng, compiled, noise, options, n, spt,
-                             [&](std::uint64_t z) {
-                                 total += obj_.cut(z);
-                             });
-                partial[static_cast<std::size_t>(traj) * nb + b] = total;
-            });
-        const std::int64_t shots =
-            static_cast<std::int64_t>(spt) * traj_count;
-        for (std::size_t b = 0; b < nb; ++b) {
-            // Fixed trajectory-order combination, as the sequential
-            // noisy_expectation does.
-            double total = 0.0;
-            for (std::int32_t traj = 0; traj < traj_count; ++traj)
-                total +=
-                    partial[static_cast<std::size_t>(traj) * nb + b];
-            res.values[start + b] =
-                total /
-                static_cast<double>(std::max<std::int64_t>(1, shots));
-        }
-    }
+    res.values.reserve(points.size());
+    for (const QaoaAngles& angles : points)
+        res.values.push_back(
+            obj_.noisy_expectation(compiled, noise, angles, options));
     finalize(res, t0);
     return res;
 }
@@ -917,57 +112,21 @@ SweepEvaluator::noisy_sweep_counts(const circuit::Circuit& compiled,
                                    const std::vector<QaoaAngles>& points,
                                    const NoisySimOptions& options)
 {
-    std::vector<std::vector<std::int64_t>> counts(points.size());
+    std::vector<std::vector<std::int64_t>> counts;
     if (points.empty())
         return counts;
-    validate_points(points, /*require_layer=*/true);
     telemetry::ScopedSpan span("sim.sweep.eval");
-    span.arg("tier", simd_tier_name(active_simd_tier()));
-    span.arg("mode", "noisy-counts");
-    span.arg("qubits", obj_.num_qubits());
-    span.arg("points", static_cast<std::int64_t>(points.size()));
-    span.arg("batch", static_cast<std::int64_t>(batch_));
-    count_points(points.size());
-
-    if (obj_.weighted() || has_duplicate_compute_edges(compiled)) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            counts[i] =
-                obj_.noisy_counts(compiled, noise, points[i], options);
-        return counts;
-    }
-
-    const std::int32_t n = obj_.num_qubits();
-    const std::size_t size = std::size_t(1) << n;
-    for (auto& c : counts)
-        c.assign(size, 0);
-    const std::int32_t spt = shots_per_trajectory(options);
-    std::mutex merge_mutex;
-    for (std::size_t start = 0; start < points.size(); start += batch_) {
-        const std::size_t nb = std::min(batch_, points.size() - start);
-        record_batch_size(nb);
-        run_noisy_chunk(
-            compiled, noise, points.data() + start, nb, options,
-            size * sizeof(std::int64_t),
-            [&](std::int32_t, std::size_t b, const Statevector& sv,
-                Xoshiro256& rng) {
-                // Histogram locally, merge under the lock: integer
-                // adds commute, so merge order cannot matter.
-                std::vector<std::int64_t> local(size, 0);
-                sample_shots(sv, rng, compiled, noise, options, n, spt,
-                             [&](std::uint64_t z) { ++local[z]; });
-                std::lock_guard<std::mutex> lock(merge_mutex);
-                auto& out = counts[start + b];
-                for (std::size_t z = 0; z < size; ++z)
-                    out[z] += local[z];
-            });
-    }
+    describe(span, "noisy-counts", obj_.num_qubits(), points);
+    counts.reserve(points.size());
+    for (const QaoaAngles& angles : points)
+        counts.push_back(
+            obj_.noisy_counts(compiled, noise, angles, options));
     return counts;
 }
 
 MultiSweepResult
 sweep_problems(const std::vector<QaoaObjective*>& objectives,
-               const std::vector<QaoaAngles>& points,
-               const SweepOptions& options)
+               const std::vector<QaoaAngles>& points)
 {
     MultiSweepResult out;
     const std::size_t count = objectives.size();
@@ -975,58 +134,22 @@ sweep_problems(const std::vector<QaoaObjective*>& objectives,
     if (count == 0)
         return out;
     const auto t0 = std::chrono::steady_clock::now();
-
-    // Split the budget across the workers we would like to run, pick
-    // each problem's batch under that share, then cap the wave so the
-    // sum of in-flight footprints stays within the total budget.
-    const std::size_t threads =
-        static_cast<std::size_t>(common::num_threads());
-    const std::size_t target =
-        std::max<std::size_t>(1, std::min(threads, count));
-    SweepOptions per = options;
-    per.memory_budget_bytes =
-        std::max<std::size_t>(1, options.memory_budget_bytes / target);
-    std::vector<std::size_t> bytes(count);
-    std::size_t max_bytes = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-        bytes[j] =
-            SweepEvaluator::planned_memory_bytes(*objectives[j], per);
-        max_bytes = std::max(max_bytes, bytes[j]);
-    }
-    std::size_t wave = target;
-    if (max_bytes > 0)
-        wave = std::min(
-            wave, std::max<std::size_t>(
-                      1, options.memory_budget_bytes / max_bytes));
-    out.problems_in_flight = wave;
-
-    auto run_j = [&](std::size_t j) {
-        SweepEvaluator ev(*objectives[j], per);
-        out.problems[j] = ev.ideal_sweep(points);
+    auto run = [&](std::size_t j) {
+        out.problems[j] = SweepEvaluator(*objectives[j]).ideal_sweep(points);
     };
-    if (wave <= 1) {
-        // One problem at a time: kernel-level parallelism still uses
-        // the whole pool inside each sweep.
-        for (std::size_t j = 0; j < count; ++j) {
-            run_j(j);
-            out.peak_memory_bytes =
-                std::max(out.peak_memory_bytes, bytes[j]);
-        }
+    if (count == 1) {
+        // A pool task would run its kernels inline; called directly,
+        // a lone problem keeps the pool for its kernels.
+        run(0);
+        out.problems_in_flight = 1;
     } else {
-        for (std::size_t start = 0; start < count; start += wave) {
-            const std::size_t cnt = std::min(wave, count - start);
-            std::size_t wave_bytes = 0;
-            for (std::size_t k = 0; k < cnt; ++k)
-                wave_bytes += bytes[start + k];
-            out.peak_memory_bytes =
-                std::max(out.peak_memory_bytes, wave_bytes);
-            common::parallel_tasks(
-                static_cast<std::int64_t>(cnt), [&](std::int64_t k) {
-                    run_j(start + static_cast<std::size_t>(k));
-                });
-        }
+        common::parallel_tasks(static_cast<std::int64_t>(count),
+                               [&](std::int64_t j) {
+                                   run(static_cast<std::size_t>(j));
+                               });
+        out.problems_in_flight = std::min(
+            count, static_cast<std::size_t>(common::num_threads()));
     }
-
     out.seconds = elapsed_seconds(t0);
     out.points_per_sec =
         out.seconds > 0.0

@@ -1,54 +1,19 @@
 /**
  * @file
- * Batched multi-angle QAOA sweep engine (landscape scans, grid
- * searches, multi-start optimizer seeding).
+ * QAOA angle sweeps (landscape scans, grid searches, multi-start
+ * optimizer seeding): one problem evaluated at many (gamma, beta)
+ * points, and several problems swept concurrently.
  *
- * A landscape scan evaluates one problem at many (gamma, beta)
- * points. Evaluated one point at a time through QaoaObjective, every
- * point pays the full memory traffic of its own statevector passes —
- * at 22 qubits each evaluation streams hundreds of megabytes, and the
- * arithmetic per byte is tiny. SweepEvaluator amortizes that traffic
- * across a batch of B points held *interleaved* in one buffer: batched
- * element i stores B consecutive [re, im] slots (point b of element i
- * at `a + 2*B*i + 2*b`), so one pass over the buffer advances all B
- * points at once through the batched kernels of sim/kernels.h.
+ * SweepEvaluator evaluates its points one at a time through the
+ * borrowed QaoaObjective, whose cost spectrum, scratch state and
+ * replay plan every point reuses. A sweep's values, optimum and
+ * sampled shots are therefore those of a per-point QaoaObjective loop
+ * by construction, bit for bit on every SIMD tier and thread count.
+ * DESIGN.md §4i records why sweeps run point by point.
  *
- * Per QAOA layer the engine makes:
- *
- *  - one fused block pass: within each L2-resident block, L1-resident
- *    tiles apply the diagonal cost phase (a B-wide rotation out of a
- *    packed per-point LUT built from the cost batch's baked spectrum)
- *    plus the low-qubit RX butterflies while each tile is cache-hot,
- *    then the mid qubits sweep the block before it is evicted; layer
- *    0 also folds the |+>^n fill into the same pass, and
- *
- *  - one grouped pass per 3 remaining high qubits: the group's 2^3
- *    contiguous runs are walked in L2-sized column chunks, so all 3
- *    butterfly levels touch DRAM once,
- *
- * versus |layers| * (1 fused sweep + ~n/2 blocked traversals) per
- * point sequentially. The final expectation is one batched
- * weighted-norm reduction.
- *
- * Determinism: every (element, point) sees exactly the IEEE-754
- * operation sequence of the sequential QaoaObjective evaluation —
- * same fill value, same LUT angle formula, same butterfly order
- * (qubits ascending), same fixed-lane reduction slicing — so sweep
- * results are *bit-identical* to a per-point QaoaObjective loop, on
- * every SIMD tier and thread count. The noisy sweep replays the exact
- * trajectory RNG stream (error pre-draws are angle-independent, so
- * one stream serves the whole batch; each point samples shots from a
- * copy of the shared post-evolution RNG state) and is bit-identical
- * per point as well, including sampled shots. Weighted problems'
- * noisy path delegates to QaoaObjective per point (their
- * mixed-magnitude phase products round differently under batching).
- *
- * Multi-problem batching (sweep_problems) schedules independent
- * QaoaObjective instances across the common/parallel pool in waves
- * sized by a memory budget, so a many-problem sweep at high qubit
- * counts cannot blow the RSS: each in-flight problem owns one batched
- * buffer, and when only one problem fits the budget (or the pool),
- * problems run serially with full kernel-level parallelism each.
+ * sweep_problems runs independent objectives concurrently on the
+ * common/parallel pool, one task per problem; each objective owns its
+ * scratch state, so there is no shared buffer to budget.
  */
 #ifndef PERMUQ_SIM_SWEEP_H
 #define PERMUQ_SIM_SWEEP_H
@@ -64,169 +29,82 @@
 
 namespace permuq::sim {
 
-/** Knobs of a batched sweep. */
-struct SweepOptions
-{
-    /** Requested points per batched pass; clamped to
-     *  [1, kernels::kMaxSweepBatch] and shrunk until the evaluator
-     *  footprint fits the memory budget (preferring multiples of 4,
-     *  whose [re, im] point slots stay cache-line aligned). */
-    std::size_t batch = 8;
-
-    /**
-     * Upper bound on batched-buffer bytes. For a single evaluator the
-     * batch width shrinks to fit; sweep_problems() additionally caps
-     * how many problems evaluate concurrently so the sum of in-flight
-     * footprints stays within this budget.
-     */
-    std::size_t memory_budget_bytes = std::size_t(4) << 30;
-};
-
 /** Result of one sweep over a point list. */
 struct SweepResult
 {
-    /** Expected cut per point, in input order. Bit-identical to
-     *  evaluating each point through QaoaObjective. */
+    /** Expected cut per point, in input order. */
     std::vector<double> values;
     /** Index of the best (maximum) value; first on ties. */
     std::size_t best_index = 0;
     double best_value = 0.0;
     std::size_t points = 0;
-    /** Batch width actually used (after clamping to the budget). */
-    std::size_t batch = 0;
+    /** Points per statevector pass: always 1, one point at a time. */
+    std::size_t batch = 1;
     double seconds = 0.0;
     double points_per_sec = 0.0;
-    /** Evaluator footprint (see SweepEvaluator::memory_bytes). */
+    /** Buffer bytes the sweep owns (see SweepEvaluator::memory_bytes). */
     std::size_t memory_bytes = 0;
 };
 
 /**
- * Batched sweep engine over one QaoaObjective. Borrows the objective
- * (and reads its cost batch / baked spectrum directly); keep it alive
- * for the evaluator's lifetime. Not thread-safe — sweep_problems()
- * gives each concurrent problem its own evaluator.
+ * Per-point sweep over one QaoaObjective. Borrows the objective; keep
+ * it alive for the evaluator's lifetime. Not thread-safe —
+ * sweep_problems() gives each concurrent problem its own objective.
  */
 class SweepEvaluator
 {
   public:
-    explicit SweepEvaluator(QaoaObjective& objective,
-                            const SweepOptions& options = {});
+    explicit SweepEvaluator(QaoaObjective& objective);
 
-    /** Batch width after clamping to the options and the budget. */
-    std::size_t batch() const { return batch_; }
+    /** Buffer bytes the evaluator owns beyond its objective: none,
+     *  since every point runs in the objective's scratch state. */
+    std::size_t memory_bytes() const { return 0; }
 
-    /**
-     * Exact bytes of the evaluator's batched buffers: the interleaved
-     * amplitude buffer (2^n * 2 * batch doubles) plus the packed
-     * per-point phase LUT ((2*span + 1) * 2 * batch doubles when the
-     * cost spectrum is uniform; dense spectra reuse the objective's
-     * baked table and need no LUT). Computable before allocation —
-     * the multi-problem scheduler budgets with this same formula.
-     */
-    std::size_t memory_bytes() const;
-
-    /** The footprint formula itself. @p uniform_span is the cost
-     *  spectrum's key span (0 for dense or empty spectra). */
-    static std::size_t memory_bytes(std::int32_t num_qubits,
-                                    std::int32_t uniform_span,
-                                    std::size_t batch);
-
-    /** Batch width sweep construction would choose for @p objective
-     *  under @p options, without building anything. */
-    static std::size_t planned_batch(const QaoaObjective& objective,
-                                     const SweepOptions& options);
-
-    /** Footprint of planned_batch()'s choice. */
-    static std::size_t planned_memory_bytes(const QaoaObjective& objective,
-                                            const SweepOptions& options);
-
-    /** Ideal (noiseless) expectation at every point. All points must
-     *  share one layer count. */
+    /** Ideal (noiseless) expectation at every point:
+     *  QaoaObjective::ideal_expectation per point. */
     SweepResult ideal_sweep(const std::vector<QaoaAngles>& points);
 
     /** Noisy expectation at every point (see sim/qaoa.h for the
-     *  trajectory model). Bit-identical per point to
-     *  QaoaObjective::noisy_expectation, sampled shots included. */
+     *  trajectory model): QaoaObjective::noisy_expectation per point,
+     *  sampled shots included. */
     SweepResult noisy_sweep(const circuit::Circuit& compiled,
                             const arch::NoiseModel& noise,
                             const std::vector<QaoaAngles>& points,
                             const NoisySimOptions& options);
 
-    /** Per-point shot histograms of the noisy execution;
-     *  counts[p][z] matches QaoaObjective::noisy_counts at point p. */
+    /** Per-point shot histograms of the noisy execution:
+     *  counts[p] is QaoaObjective::noisy_counts at point p. */
     std::vector<std::vector<std::int64_t>> noisy_sweep_counts(
         const circuit::Circuit& compiled, const arch::NoiseModel& noise,
         const std::vector<QaoaAngles>& points,
         const NoisySimOptions& options);
 
   private:
-    struct LayerTables;
-
-    void ensure_buffers();
-    /** Key span of @p objective's cost spectrum when uniform, 0 for
-     *  dense or empty spectra. */
-    static std::int32_t spectrum_span(const QaoaObjective& objective);
-    std::int32_t uniform_span() const;
-    /** Build layer @p layer's phase LUT / mixer tables for the chunk
-     *  of @p nb points starting at @p pts, packing the LUT into
-     *  @p lut_storage (per-trajectory storage on the noisy path). */
-    void build_layer_tables(const QaoaAngles* pts, std::size_t nb,
-                            std::size_t layer, LayerTables& tables,
-                            std::vector<double>& lut_storage);
-    /** One fused pass over @p state: optional |+> fill, optional
-     *  diagonal phase, low-qubit butterflies per tile, then the
-     *  grouped high-qubit passes. Mixer-only when @p phase is null. */
-    void mixer_layer(double* state, std::size_t nb,
-                     const LayerTables* phase, const double* c2,
-                     const double* s2, bool fill);
-    void fill_plus(double* state, std::size_t nb);
-    /** Batched objective reduction replicating the sequential
-     *  fixed-slice parallel_reduce_sum boundaries. */
-    void reduce_expectation(const double* state, std::size_t nb,
-                            double* out);
-    void run_ideal_chunk(const QaoaAngles* pts, std::size_t nb,
-                         double* out);
-
-    template <typename PointSink>
-    void run_noisy_chunk(const circuit::Circuit& compiled,
-                         const arch::NoiseModel& noise,
-                         const QaoaAngles* pts, std::size_t nb,
-                         const NoisySimOptions& options,
-                         std::size_t extra_bytes_per_point,
-                         PointSink&& sink);
-
     QaoaObjective& obj_;
-    std::size_t batch_ = 1;
-    std::size_t budget_ = 0;
-    std::vector<double> amp_; ///< batched ideal-path buffer (lazy)
-    std::vector<double> lut_; ///< packed per-point phase LUT (lazy)
 };
 
 /** Result of a multi-problem sweep. */
 struct MultiSweepResult
 {
-    /** One per objective, in input order; each bit-identical to a
-     *  standalone SweepEvaluator over that objective. */
+    /** One per objective, in input order; each equal to a standalone
+     *  SweepEvaluator over that objective. */
     std::vector<SweepResult> problems;
-    /** Problems evaluated concurrently per wave. */
+    /** Problems evaluated concurrently: min(problems, threads). */
     std::size_t problems_in_flight = 0;
-    /** Largest sum of in-flight evaluator footprints. */
-    std::size_t peak_memory_bytes = 0;
     double seconds = 0.0;
     /** Aggregate throughput: problems * points / seconds. */
     double points_per_sec = 0.0;
 };
 
 /**
- * Ideal-sweep @p points over every objective, scheduling problems
- * across the thread pool in memory-budgeted waves. Results are a pure
- * function of (objectives, points, options) — identical at any thread
- * count or wave size.
+ * Ideal-sweep @p points over every objective, one pool task per
+ * problem (a lone problem keeps the pool for its kernels). Results
+ * are a pure function of (objectives, points) — identical at any
+ * thread count.
  */
 MultiSweepResult sweep_problems(
     const std::vector<QaoaObjective*>& objectives,
-    const std::vector<QaoaAngles>& points,
-    const SweepOptions& options = {});
+    const std::vector<QaoaAngles>& points);
 
 /**
  * A gammas x betas angle grid with @p layers layers (all layers share

@@ -4,9 +4,10 @@
  * every statevector kernel cross-checked against an independent dense
  * reference simulator (scalar tier, AVX2 tier, and threaded) to 1e-12;
  * bitwise identity of amplitudes across SIMD tiers and thread counts;
- * the blocked mixer pass vs sequential per-qubit RX; QaoaObjective vs
- * the one-shot free functions over random angle sets; and the exact
- * memory estimates.
+ * the register-blocked mixer vs sequential per-qubit RX on every tier
+ * and at chunk-splitting thread counts; Pauli-Y as an exact
+ * swap-with-sign; QaoaObjective vs the one-shot free functions over
+ * random angle sets; and the exact memory estimates.
  */
 #include <gtest/gtest.h>
 
@@ -88,6 +89,13 @@ class DenseRef
         const double c = std::cos(theta / 2.0);
         const double s = std::sin(theta / 2.0);
         one_qubit(q, {c, 0}, {0, -s}, {0, -s}, {c, 0});
+    }
+
+    void
+    rx_all(double theta)
+    {
+        for (std::int32_t q = 0; q < n_; ++q)
+            rx(q, theta);
     }
 
     void
@@ -195,9 +203,21 @@ expect_bitwise(const std::vector<Amplitude>& got,
             << want[i].real() << ", " << want[i].imag() << ")";
 }
 
+/** A random state: every component uniform in [-1, 1), not
+ *  normalized (the kernels are linear). */
+void
+fill_random(Statevector& sv, std::uint64_t seed)
+{
+    Xoshiro256 rng(seed);
+    for (Amplitude& amp : sv.amplitudes_mut())
+        amp = Amplitude(2.0 * rng.next_double() - 1.0,
+                        2.0 * rng.next_double() - 1.0);
+}
+
 /** Drive both simulators through a circuit covering every kernel:
  *  all qubit positions (vector body, prologue, tail, and the
- *  below-vector-width fallbacks) and all two-qubit bit layouts. */
+ *  below-vector-width fallbacks), all two-qubit bit layouts, and the
+ *  blocked mixer's tile and group kernels. */
 template <typename Sim, typename Ref>
 void
 run_kernel_gauntlet(Sim& sv, Ref& ref)
@@ -222,6 +242,9 @@ run_kernel_gauntlet(Sim& sv, Ref& ref)
         sv.apply_z(q);
         ref.z(q);
     }
+    const double beta = next_angle();
+    sv.apply_rx_all(beta);
+    ref.rx_all(beta);
     for (std::int32_t a = 0; a < n; ++a)
         for (std::int32_t b = a + 1; b < n; ++b) {
             double t1 = next_angle(), t2 = next_angle();
@@ -253,8 +276,10 @@ run_kernel_gauntlet(Sim& sv, Ref& ref)
 TEST(Kernels, EveryKernelMatchesDenseReferencePerTier)
 {
     DispatchGuard guard;
-    for (std::int32_t n : {1, 2, 3, 4, 5, 6}) {
-        for (SimdTier tier : {SimdTier::Scalar, detected_simd_tier()}) {
+    // n = 13 puts one qubit above the mixer tile, in pass 2.
+    for (std::int32_t n : {1, 2, 3, 4, 5, 6, 13}) {
+        for (SimdTier tier :
+             {SimdTier::Scalar, SimdTier::Avx2, detected_simd_tier()}) {
             set_simd_tier(tier);
             Statevector sv(n);
             DenseRef ref(n);
@@ -280,7 +305,8 @@ TEST(Kernels, TiersAreBitIdentical)
     if (detected_simd_tier() == SimdTier::Scalar)
         GTEST_SKIP() << "no vector tier available on this host";
     DispatchGuard guard;
-    for (std::int32_t n : {3, 6, 9}) {
+    // 14 and 15 send two and three qubits through the mixer's pass 2.
+    for (std::int32_t n : {3, 6, 9, 14, 15}) {
         set_simd_tier(SimdTier::Scalar);
         Statevector scalar(n);
         DenseRef ref_scalar(n);
@@ -325,24 +351,72 @@ TEST(Kernels, ThreadCountsAreBitIdentical)
 TEST(Kernels, BlockedMixerMatchesSequentialRxBitwise)
 {
     DispatchGuard guard;
-    // Spans n < kMixerTileQubits (single-tile path), n == tile, and
-    // n > tile with both even and odd high-qubit counts.
-    for (std::int32_t n : {1, 2, 5, 11, 12, 13, 14}) {
-        for (SimdTier tier : {SimdTier::Scalar, detected_simd_tier()}) {
+    // n = 1..8 spans sizes below and around the register blocks (16
+    // amplitudes on AVX2, 64 on AVX-512); 11..17 spans the tile width
+    // (12) and 1..5 high qubits, i.e. pass-2 groups of 3 plus a
+    // remainder of 0, 1 and 2. parallel_for makes min(4 * threads,
+    // range / grain) chunks, so at n = 19 three threads cut pass-2
+    // ranges into 12 chunks whose edges miss the vector groups, and
+    // the head and tail loops run.
+    struct Case
+    {
+        std::int32_t n;
+        int threads;
+    };
+    std::vector<Case> cases;
+    for (std::int32_t n :
+         {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17})
+        for (int threads : {1, 4})
+            cases.push_back({n, threads});
+    cases.push_back({19, 3});
+    const double beta = 0.37;
+    for (const Case& c : cases) {
+        set_simd_tier(SimdTier::Scalar);
+        common::set_num_threads(1);
+        Statevector sequential(c.n);
+        fill_random(sequential, 42 + static_cast<std::uint64_t>(c.n));
+        for (std::int32_t q = 0; q < c.n; ++q)
+            sequential.apply_rx(q, beta);
+        for (SimdTier tier :
+             {SimdTier::Scalar, SimdTier::Avx2, detected_simd_tier()}) {
             set_simd_tier(tier);
-            Statevector blocked(n), sequential(n);
-            Xoshiro256 rng(42);
-            for (std::int32_t q = 0; q < n; ++q) {
-                double t = rng.next_double();
-                blocked.apply_rx(q, t);
-                sequential.apply_rx(q, t);
-            }
-            const double beta = 0.37;
+            common::set_num_threads(c.threads);
+            Statevector blocked(c.n);
+            fill_random(blocked, 42 + static_cast<std::uint64_t>(c.n));
             blocked.apply_rx_all(beta);
-            for (std::int32_t q = 0; q < n; ++q)
-                sequential.apply_rx(q, beta);
-            expect_bitwise(blocked.amplitudes(),
-                           sequential.amplitudes(), "blocked mixer");
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << c.n << " tier "
+                         << simd_tier_name(active_simd_tier())
+                         << " threads " << c.threads);
+            expect_bitwise(blocked.amplitudes(), sequential.amplitudes(),
+                           "blocked mixer");
+        }
+    }
+}
+
+TEST(Kernels, PauliYIsExactSwapWithSign)
+{
+    // Y|a0, a1> = (-i a1, i a0): (r1, m1) -> (m1, -r1) into the
+    // bit-clear slot and (r0, m0) -> (-m0, r0) into the bit-set slot,
+    // exactly; applied twice it restores the state bit for bit.
+    for (std::int32_t n : {1, 3, 7}) {
+        for (std::int32_t q = 0; q < n; ++q) {
+            Statevector sv(n);
+            fill_random(sv, 7 + static_cast<std::uint64_t>(q));
+            const std::vector<Amplitude> before = sv.amplitudes();
+            std::vector<Amplitude> want = before;
+            const std::size_t bit = std::size_t(1) << q;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                if (i & bit)
+                    continue;
+                const Amplitude a0 = before[i], a1 = before[i | bit];
+                want[i] = Amplitude(a1.imag(), -a1.real());
+                want[i | bit] = Amplitude(-a0.imag(), a0.real());
+            }
+            sv.apply_y(q);
+            expect_bitwise(sv.amplitudes(), want, "Y");
+            sv.apply_y(q);
+            expect_bitwise(sv.amplitudes(), before, "Y twice");
         }
     }
 }

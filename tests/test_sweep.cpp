@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the batched multi-angle sweep engine (sim/sweep.h): batched
- * results bit-identical to a sequential QaoaObjective loop over the
- * same points across SIMD tiers (scalar / AVX2 / AVX-512 when the CPU
- * has it) and thread counts, on the ideal, weighted, and noisy paths
- * (expectation values AND sampled shot histograms); exact
- * memory_bytes() accounting and batch shrinking under the memory
- * budget; multi-problem scheduling invariance; and golden values of
- * the ideal and noisy objective and sweeps, pinned as hexfloats.
+ * Tests of the angle sweeps (sim/sweep.h): sweep results bit-identical
+ * to a sequential QaoaObjective loop over the same points across SIMD
+ * tiers (scalar / AVX2 / AVX-512 when the CPU has it) and thread
+ * counts, on the ideal, weighted, and noisy paths (expectation values
+ * AND sampled shot histograms); multi-problem scheduling invariance;
+ * and golden values of the ideal and noisy objective and sweeps,
+ * pinned as hexfloats.
  */
 #include <gtest/gtest.h>
 
@@ -43,7 +42,7 @@ struct DispatchGuard
     }
 };
 
-/** The reference the engine must reproduce exactly: one QaoaObjective
+/** The reference a sweep must reproduce exactly: one QaoaObjective
  *  evaluation per point, sequentially. */
 std::vector<double>
 sequential_ideal(QaoaObjective& context,
@@ -92,7 +91,6 @@ TEST(SweepIdeal, BitIdenticalAcrossTiersAndThreads)
     DispatchGuard guard;
     auto problem = problem::random_graph(10, 0.35, 3);
     QaoaObjective reference(problem);
-    // 25 points with batch 8 exercises full chunks plus a 1-point tail.
     auto points = sweep_grid(5, 5, 2);
     set_simd_tier(SimdTier::Scalar);
     common::set_num_threads(1);
@@ -107,36 +105,10 @@ TEST(SweepIdeal, BitIdenticalAcrossTiersAndThreads)
             SweepResult result = evaluator.ideal_sweep(points);
             expect_bitwise(result.values, want, "ideal sweep");
             EXPECT_EQ(result.points, points.size());
-            EXPECT_EQ(result.batch, evaluator.batch());
+            EXPECT_EQ(result.batch, 1u);
             EXPECT_EQ(result.memory_bytes, evaluator.memory_bytes());
         }
     }
-}
-
-TEST(SweepIdeal, BatchEdgeCases)
-{
-    auto problem = problem::random_graph(8, 0.4, 9);
-    QaoaObjective reference(problem);
-    auto points = sweep_grid(3, 3, 1);
-    auto want = sequential_ideal(reference, points);
-    for (std::size_t batch : {std::size_t(1), std::size_t(3),
-                              std::size_t(16)}) {
-        SweepOptions options;
-        options.batch = batch;
-        QaoaObjective context(problem);
-        SweepEvaluator evaluator(context, options);
-        EXPECT_EQ(evaluator.batch(), batch);
-        expect_bitwise(evaluator.ideal_sweep(points).values, want,
-                       "batch width");
-    }
-    // Fewer points than the batch width: one short chunk.
-    std::vector<QaoaAngles> few(points.begin(), points.begin() + 2);
-    SweepOptions wide;
-    wide.batch = 8;
-    QaoaObjective context(problem);
-    SweepResult result = SweepEvaluator(context, wide).ideal_sweep(few);
-    expect_bitwise(result.values,
-                   {want[0], want[1]}, "short chunk");
 }
 
 TEST(SweepIdeal, BestPointIsFirstMaximum)
@@ -156,8 +128,8 @@ TEST(SweepIdeal, BestPointIsFirstMaximum)
 
 TEST(SweepIdeal, WeightedProblemBitIdentical)
 {
-    // Weighted spectra are dense (non-uniform coefficients); the
-    // batched phase runs out of the baked table, with no LUT.
+    // Weighted spectra are dense (non-uniform coefficients): the
+    // phase runs out of the baked angle table instead of the LUT.
     auto wp = problem::weighted_random_graph(9, 0.4, 7);
     QaoaObjective reference(wp);
     auto points = sweep_grid(3, 4, 2);
@@ -166,45 +138,6 @@ TEST(SweepIdeal, WeightedProblemBitIdentical)
     SweepEvaluator evaluator(context);
     expect_bitwise(evaluator.ideal_sweep(points).values, want,
                    "weighted sweep");
-    EXPECT_EQ(evaluator.memory_bytes(),
-              SweepEvaluator::memory_bytes(9, 0, evaluator.batch()));
-}
-
-TEST(SweepMemory, ExactBytesAndBudgetShrink)
-{
-    // The footprint formula itself: interleaved amplitudes plus the
-    // packed per-point LUT for uniform spectra.
-    EXPECT_EQ(SweepEvaluator::memory_bytes(10, 0, 4),
-              (std::size_t(1) << 10) * 2 * 4 * 8);
-    EXPECT_EQ(SweepEvaluator::memory_bytes(10, 6, 4),
-              (std::size_t(1) << 10) * 2 * 4 * 8 + 13 * 2 * 4 * 8);
-
-    auto problem = problem::random_graph(10, 0.35, 3);
-    QaoaObjective context(problem);
-    SweepOptions unlimited;
-    unlimited.batch = 8;
-    // The footprint is linear in the batch width, so the per-batch
-    // unit cost falls out of planned_memory_bytes at batch 1.
-    SweepOptions one;
-    one.batch = 1;
-    std::size_t unit =
-        SweepEvaluator::planned_memory_bytes(context, one);
-    EXPECT_EQ(SweepEvaluator::planned_memory_bytes(context, unlimited),
-              8 * unit);
-    // A budget of three units must shrink the batch to exactly 3.
-    SweepOptions tight;
-    tight.batch = 8;
-    tight.memory_budget_bytes = 3 * unit;
-    EXPECT_EQ(SweepEvaluator::planned_batch(context, tight), 3u);
-    SweepEvaluator evaluator(context, tight);
-    EXPECT_EQ(evaluator.batch(), 3u);
-    EXPECT_LE(evaluator.memory_bytes(), tight.memory_budget_bytes);
-    EXPECT_EQ(evaluator.memory_bytes(),
-              SweepEvaluator::planned_memory_bytes(context, tight));
-    // The budget never shrinks below one point.
-    SweepOptions starved;
-    starved.memory_budget_bytes = 1;
-    EXPECT_EQ(SweepEvaluator::planned_batch(context, starved), 1u);
 }
 
 TEST(SweepNoisy, ExpectationBitIdenticalToSequential)
@@ -246,8 +179,8 @@ TEST(SweepNoisy, ExpectationBitIdenticalToSequential)
     for (const QaoaAngles& angles : points)
         want_unfused.push_back(context.noisy_expectation(
             compiled.circuit, noise, angles, unfused));
-    QaoaObjective batched(problem);
-    expect_bitwise(SweepEvaluator(batched)
+    QaoaObjective swept(problem);
+    expect_bitwise(SweepEvaluator(swept)
                        .noisy_sweep(compiled.circuit, noise, points,
                                     unfused)
                        .values,
@@ -344,34 +277,6 @@ TEST(SweepMultiProblem, ResultsInvariantAcrossSchedules)
         EXPECT_GE(result.problems_in_flight, 1u);
         EXPECT_GT(result.points_per_sec, 0.0);
     }
-}
-
-TEST(SweepMultiProblem, RespectsMemoryBudget)
-{
-    auto g0 = problem::random_graph(9, 0.35, 3);
-    auto g1 = problem::random_graph(9, 0.35, 5);
-    QaoaObjective c0(g0), c1(g1);
-    std::vector<QaoaObjective*> objectives{&c0, &c1};
-    auto points = sweep_grid(2, 2, 1);
-    // Budget fits exactly one problem's footprint at batch 1: the
-    // scheduler must fall back to serial waves and report it.
-    SweepOptions one;
-    one.batch = 1;
-    std::size_t unit = SweepEvaluator::planned_memory_bytes(c0, one);
-    SweepOptions tight;
-    tight.batch = 8;
-    tight.memory_budget_bytes = unit;
-    MultiSweepResult result =
-        sweep_problems(objectives, points, tight);
-    EXPECT_EQ(result.problems_in_flight, 1u);
-    EXPECT_LE(result.peak_memory_bytes, tight.memory_budget_bytes);
-    // Results stay bit-identical to the unconstrained schedule.
-    QaoaObjective f0(g0), f1(g1);
-    std::vector<QaoaObjective*> fresh{&f0, &f1};
-    MultiSweepResult loose = sweep_problems(fresh, points);
-    for (std::size_t p = 0; p < 2; ++p)
-        expect_bitwise(result.problems[p].values,
-                       loose.problems[p].values, "budgeted schedule");
 }
 
 // Golden values. The tests above compare two paths of one build, so a

@@ -27,21 +27,19 @@ between runs:
     baseline's -- the daemon's warm latency is a product guarantee
     like the observability tax (its byte_identical flag is covered
     by the generic correctness-flag check);
-  * the BENCH_sim.json "sweep" section (when present) meets its own
-    speedup gates -- single_speedup >= single_speedup_min when
-    single_speedup_gated (the bench arms the gate only at sweep
-    sizes where the statevector spills out of cache), multi_scaling
-    >= multi_scaling_min when multi_scaling_gated -- stays within
-    its memory budget, and has not silently loosened a gate (lower
-    *_min) or raised memory_budget_bytes above the committed
-    baseline's. The values_identical / shots_identical flags are
-    covered by the generic correctness-flag check;
   * the BENCH_sim.json "stages" section (the per-stage simulator
     ledger) keeps each stage within its own budget -- the fused
     spectrum's key build (spectrum_build_ms against
     spectrum_build_budget_ms) and one noisy objective evaluation
     (noisy_eval_ms against noisy_eval_budget_ms) -- and has not
-    silently raised either budget above the committed baseline's.
+    silently raised either budget above the committed baseline's;
+    its mixer rows keep their in-process ratios (apply_rx_all
+    against n single-qubit apply_rx passes) at or above their floors
+    when mixer_gated -- ideal_mixer_ratio against
+    ideal_mixer_ratio_min at 20 qubits, mixer15_ratio against
+    mixer15_ratio_min -- and no floor has been silently lowered
+    below the committed baseline's. The ideal_split_identical flag
+    is covered by the generic correctness-flag check.
 
 Other timing fields are reported for context but never fail the diff.
 
@@ -170,84 +168,24 @@ def diff_service(base, cand):
     return status
 
 
-def diff_sweep(base, cand):
-    """Gate the batched-sweep engine the same way: the speedup floors
-    and the memory budget are product guarantees, so a candidate under
-    a floor, over the budget, or with quietly loosened gates fails."""
-    if cand is None:
-        return 0
-    status = 0
-    speedup = cand.get("single_speedup")
-    speedup_min = cand.get("single_speedup_min")
-    if not isinstance(speedup, (int, float)) or not isinstance(
-        speedup_min, (int, float)
-    ):
-        return fail("sweep section lacks numeric speedup/floor")
-    if cand.get("single_speedup_gated") and speedup < speedup_min:
-        status |= fail(
-            f"sweep single-problem speedup {speedup:.3f}x is below "
-            f"its floor {speedup_min:.2f}x"
-        )
-    if cand.get("multi_scaling_gated"):
-        scaling = cand.get("multi_scaling")
-        scaling_min = cand.get("multi_scaling_min")
-        if isinstance(scaling, (int, float)) and isinstance(
-            scaling_min, (int, float)
-        ):
-            if scaling < scaling_min:
-                status |= fail(
-                    f"sweep multi-problem scaling {scaling:.3f}x is "
-                    f"below its floor {scaling_min:.2f}x"
-                )
-        else:
-            status |= fail("sweep section lacks numeric multi scaling")
-    peak = cand.get("peak_memory_bytes")
-    budget = cand.get("memory_budget_bytes")
-    if isinstance(peak, int) and isinstance(budget, int) and peak > budget:
-        status |= fail(
-            f"sweep peak memory {peak} bytes exceeds its budget {budget}"
-        )
-    if base is not None:
-        for floor in ("single_speedup_min", "multi_scaling_min"):
-            b, c = base.get(floor), cand.get(floor)
-            if (
-                isinstance(b, (int, float))
-                and isinstance(c, (int, float))
-                and c < b
-            ):
-                status |= fail(
-                    f"sweep gate {floor} loosened from {b:.2f} to "
-                    f"{c:.2f} without a baseline update"
-                )
-        b, c = base.get("memory_budget_bytes"), cand.get(
-            "memory_budget_bytes"
-        )
-        if isinstance(b, int) and isinstance(c, int) and c > b:
-            status |= fail(
-                f"sweep memory budget raised from {b} to {c} bytes "
-                f"without a baseline update"
-            )
-        base_speedup = base.get("single_speedup")
-        if isinstance(base_speedup, (int, float)):
-            print(
-                f"diff_bench: sweep speedup {speedup:.3f}x "
-                f"(baseline {base_speedup:.3f}x, floor "
-                f"{speedup_min:.2f}x)"
-            )
-    return status
-
-
 # BENCH_sim.json "stages": (measured field, budget field) per stage.
 STAGE_BUDGETS = (
     ("spectrum_build_ms", "spectrum_build_budget_ms"),
     ("noisy_eval_ms", "noisy_eval_budget_ms"),
 )
 
+# BENCH_sim.json "stages": (measured ratio, floor field) per mixer row.
+STAGE_FLOORS = (
+    ("ideal_mixer_ratio", "ideal_mixer_ratio_min"),
+    ("mixer15_ratio", "mixer15_ratio_min"),
+)
+
 
 def diff_stages(base, cand):
     """Gate the per-stage simulator ledger: each stage that owns the
-    time of a QAOA job stays within its budget, and no budget is
-    quietly raised."""
+    time of a QAOA job stays within its budget, each mixer row keeps
+    its ratio at or above its floor, and no budget is quietly raised
+    nor floor quietly lowered."""
     if cand is None:
         return 0
     status = 0
@@ -278,6 +216,34 @@ def diff_stages(base, cand):
             print(
                 f"diff_bench: stage {field} {value:.3f} ms (baseline "
                 f"{base_value:.3f} ms, budget {budget:.2f} ms)"
+            )
+    for field, floor_field in STAGE_FLOORS:
+        value = cand.get(field)
+        floor = cand.get(floor_field)
+        if not isinstance(value, (int, float)) or not isinstance(
+            floor, (int, float)
+        ):
+            status |= fail(f"stages section lacks numeric {field}/floor")
+            continue
+        if cand.get("mixer_gated") and value < floor:
+            status |= fail(
+                f"stage {field} {value:.3f}x is below its floor "
+                f"{floor:.2f}x"
+            )
+        if base is None:
+            continue
+        base_floor = base.get(floor_field)
+        if isinstance(base_floor, (int, float)) and floor < base_floor:
+            status |= fail(
+                f"stage floor {floor_field} lowered from "
+                f"{base_floor:.2f} to {floor:.2f}x without a baseline "
+                f"update"
+            )
+        base_value = base.get(field)
+        if isinstance(base_value, (int, float)):
+            print(
+                f"diff_bench: stage {field} {value:.3f}x (baseline "
+                f"{base_value:.3f}x, floor {floor:.2f}x)"
             )
     return status
 
@@ -359,8 +325,6 @@ def diff(baseline_path, candidate_path):
     status |= diff_service(
         baseline.get("service"), candidate.get("service")
     )
-
-    status |= diff_sweep(baseline.get("sweep"), candidate.get("sweep"))
 
     status |= diff_stages(baseline.get("stages"), candidate.get("stages"))
 

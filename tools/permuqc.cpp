@@ -146,13 +146,15 @@ usage(std::FILE* out)
         "                  circuit (simulated; noisy when --noise is\n"
         "                  given, ideal otherwise; n <= 26)\n"
         "  --qaoa-rounds N objective-evaluation budget (default 60)\n"
-        "  --sweep GxB     batched angle-grid sweep over G gamma x B\n"
-        "                  beta points (e.g. 8x8; p from --qaoa, else\n"
-        "                  1; noisy when --noise is given). Prints the\n"
-        "                  best point and the points/sec throughput.\n"
+        "  --sweep GxB     angle-grid sweep over G gamma x B beta\n"
+        "                  points (e.g. 8x8; p from --qaoa, else 1;\n"
+        "                  noisy when --noise is given), evaluated one\n"
+        "                  point at a time through the reused QAOA\n"
+        "                  objective. Prints the best point and the\n"
+        "                  points/sec throughput.\n"
         "  --sweep-problems N  sweep N independent problems (seeds\n"
-        "                  S..S+N-1) concurrently under one memory\n"
-        "                  budget (ideal sweeps only)\n"
+        "                  S..S+N-1) concurrently, one per thread\n"
+        "                  (ideal sweeps only)\n"
         "  --shard K       region-sharded compilation with ~K bands\n"
         "                  (line/grid/sycamore; 0 = off; the\n"
         "                  PERMUQ_SHARD env var sets the default)\n"
@@ -550,7 +552,6 @@ main(int argc, char** argv)
             const auto points = sim::sweep_grid(
                 static_cast<std::size_t>(cli.sweep_gammas),
                 static_cast<std::size_t>(cli.sweep_betas), layers);
-            sim::SweepOptions sweep_options;
             core::CompileReport::Sweep& summary = report.sweep;
             summary.layers = layers;
             summary.problems = cli.sweep_problems;
@@ -558,8 +559,8 @@ main(int argc, char** argv)
             if (cli.sweep_problems > 1) {
                 // Multi-problem mode: the compiled problem plus
                 // N-1 sibling instances (seeds S+1..S+N-1), swept
-                // concurrently under one memory budget. Ideal only —
-                // the siblings have no compiled circuit to replay.
+                // concurrently. Ideal only — the siblings have no
+                // compiled circuit to replay.
                 std::vector<graph::Graph> graphs;
                 graphs.reserve(
                     static_cast<std::size_t>(cli.sweep_problems) - 1);
@@ -575,27 +576,26 @@ main(int argc, char** argv)
                     &objective_context()};
                 for (auto& c : contexts)
                     objectives.push_back(&c);
-                auto multi = sim::sweep_problems(objectives, points,
-                                                 sweep_options);
+                auto multi = sim::sweep_problems(objectives, points);
                 best_problem = std::move(multi.problems.front());
                 summary.mode = "ideal";
                 summary.problems_in_flight = static_cast<std::int32_t>(
                     multi.problems_in_flight);
-                summary.peak_memory_bytes = static_cast<std::int64_t>(
-                    multi.peak_memory_bytes);
+                for (const sim::QaoaObjective* o : objectives)
+                    summary.peak_memory_bytes +=
+                        static_cast<std::int64_t>(o->memory_bytes());
                 summary.seconds = multi.seconds;
                 summary.points_per_sec = multi.points_per_sec;
                 std::printf("sweep     : %d problems x %zu points, "
                             "%d in flight, %.3g Mpts/s aggregate, "
-                            "peak %lld bytes\n",
+                            "%lld bytes of objective state\n",
                             cli.sweep_problems, points.size(),
                             summary.problems_in_flight,
                             multi.points_per_sec * 1e-6,
                             static_cast<long long>(
                                 summary.peak_memory_bytes));
             } else {
-                sim::SweepEvaluator evaluator(objective_context(),
-                                              sweep_options);
+                sim::SweepEvaluator evaluator(objective_context());
                 if (noise) {
                     sim::NoisySimOptions sim_options;
                     sim_options.trajectories = 8;
@@ -610,7 +610,7 @@ main(int argc, char** argv)
                 }
                 summary.problems_in_flight = 1;
                 summary.peak_memory_bytes = static_cast<std::int64_t>(
-                    best_problem.memory_bytes);
+                    objective_context().memory_bytes());
                 summary.seconds = best_problem.seconds;
                 summary.points_per_sec = best_problem.points_per_sec;
             }
@@ -637,10 +637,12 @@ main(int argc, char** argv)
             if (cli.mem_stats) {
                 struct rusage usage{};
                 getrusage(RUSAGE_SELF, &usage);
-                std::printf("sweep mem : %zu bytes batched buffers "
-                            "(batch %zu), peak rss %lld KiB\n",
-                            best_problem.memory_bytes,
-                            best_problem.batch,
+                std::printf("sweep mem : %lld bytes of objective "
+                            "state (statevector and cut spectrum, "
+                            "reused by every point), peak rss %lld "
+                            "KiB\n",
+                            static_cast<long long>(
+                                summary.peak_memory_bytes),
                             static_cast<long long>(usage.ru_maxrss));
             }
         }
