@@ -30,8 +30,13 @@
  * then the same request is replayed over the socket and served from
  * the plan cache; the client-side round-trip p50 must stay inside the
  * warm-latency budget and every warm response must be byte-identical
- * to the cold one. Pass --service to run only this section (no JSON
- * output).
+ * to the cold one. The same section times the response stage of the
+ * largest compile-cold plan (1024q Sycamore, fast tier): the plan
+ * fragment written from the circuit plus the gather-written result
+ * frame, read back over a socket pair and checked byte-identical to
+ * the string path (to_qasm, build_plan_fragment, build_result_payload,
+ * encode_frame), against its own budget. Pass --service to run only
+ * this section (no JSON output).
  *
  * Emits BENCH_compile.json in the working directory. Pass --smoke to
  * cap the sweep at 256 qubits (CI); the >=3x acceptance gates (legacy
@@ -46,18 +51,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "arch/coupling_graph.h"
 #include "bench_util.h"
 #include "circuit/metrics.h"
 #include "circuit/qasm.h"
+#include "common/json.h"
 #include "common/log/log.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -70,6 +80,7 @@
 #include "problem/generators.h"
 #include "service/client.h"
 #include "service/plan_cache.h"
+#include "service/protocol.h"
 #include "service/server.h"
 #include "verify/equivalence.h"
 
@@ -1020,12 +1031,135 @@ struct ServiceBench
     double warm_budget_ms = 0.0;
     bool byte_identical = false;
 
+    /** Response stage: fragment from the circuit plus the result frame
+     *  of the 1024q Sycamore fast plan (best of a few runs). */
+    double response_ms = 0.0;
+    /** Its budget (diff_bench.py fails a raise, as for the warm p50). */
+    double response_budget_ms = 0.0;
+    std::size_t response_bytes = 0;
+    bool response_identical = false;
+
     bool
     ok() const
     {
-        return !ran || (byte_identical && warm_p50_ms <= warm_budget_ms);
+        return !ran || (byte_identical && warm_p50_ms <= warm_budget_ms &&
+                        response_identical &&
+                        response_ms <= response_budget_ms);
     }
 };
+
+/**
+ * One timed response of @p summary / @p circuit as permuqd serves a
+ * miss: the exact-size fragment from the circuit, then the result
+ * frame as one gather write into a socket pair, drained by a reader
+ * thread into @p received. Returns the milliseconds from the start of
+ * the fragment to the last byte sent.
+ */
+double
+timed_response(const service::PlanSummary& summary,
+               const circuit::Circuit& circuit, const std::string& report,
+               std::size_t frame_bytes, std::string& received)
+{
+    int fds[2];
+    panic_unless(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
+                 "response stage: socketpair failed");
+    received.clear();
+    received.reserve(frame_bytes);
+    std::thread reader([&] {
+        std::vector<char> buf(1 << 20);
+        for (;;) {
+            const ssize_t n = ::recv(fds[1], buf.data(), buf.size(), 0);
+            if (n <= 0)
+                break;
+            received.append(buf.data(), static_cast<std::size_t>(n));
+        }
+    });
+    double ms = 0.0;
+    bool sent = false;
+    std::exception_ptr failure;
+    try {
+        Timer timer;
+        const circuit::QasmProgram qasm(circuit, {},
+                                        common::append_json_escaped);
+        const std::string fragment =
+            service::build_plan_fragment(summary, qasm, report);
+        sent = service::send_result_frame(fds[0], 1, false, 0.0, 0.0,
+                                          fragment);
+        ms = timer.elapsed_ms();
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    ::shutdown(fds[0], SHUT_WR);
+    reader.join();
+    ::close(fds[0]);
+    ::close(fds[1]);
+    if (failure)
+        std::rethrow_exception(failure);
+    panic_unless(sent, "response stage: send_result_frame failed");
+    return ms;
+}
+
+/**
+ * The response stage of the compile-cold ledger: the largest plan the
+ * benchmark's daemon serves (1024q Sycamore at density 0.01, fast
+ * tier, about 45 MB of QASM) turned into its result frame, best of
+ * three runs, and checked byte-identical to the string path.
+ */
+void
+run_response_stage(ServiceBench& out)
+{
+    // Set from 13 runs on one shared 4-vCPU AVX-512 host, where the
+    // best of three took 61-101 ms; the string path it replaced spent
+    // 740-900 ms on the same plan before its socket write, so the
+    // budget leaves slower CI hardware 2.5x headroom and still fails
+    // that path.
+    constexpr double kResponseBudgetMs = 250.0;
+    constexpr std::int32_t kQubits = 1024;
+    out.response_budget_ms = kResponseBudgetMs;
+
+    const auto problem = problem::random_graph(kQubits, 0.01, 1);
+    const auto device =
+        arch::smallest_arch(arch::ArchKind::Sycamore, kQubits);
+    core::CompilerOptions options;
+    options.tier = core::CompileTier::Fast;
+    const auto result = core::compile(device, problem, options);
+    service::PlanSummary summary;
+    summary.tier = result.tier;
+    summary.selected = result.selected;
+    summary.depth = result.metrics.depth;
+    summary.cx = result.metrics.cx_count;
+    summary.swaps = result.metrics.swap_gates;
+    const std::string report = result.report.to_json();
+
+    const std::string want = service::encode_frame(
+        service::build_result_payload(
+            1, false, 0.0, 0.0,
+            service::build_plan_fragment(
+                summary, circuit::to_qasm(result.circuit), report)));
+    out.response_bytes = want.size();
+    out.response_identical = true;
+    std::string received;
+    auto measure = [&] {
+        for (int rep = 0; rep < 3; ++rep) {
+            const double ms = timed_response(summary, result.circuit,
+                                             report, want.size(), received);
+            out.response_identical =
+                out.response_identical && received == want;
+            if (out.response_ms == 0.0 || ms < out.response_ms)
+                out.response_ms = ms;
+        }
+    };
+    measure();
+    // Same unlucky-timeslice policy as the warm path.
+    for (int attempt = 0;
+         attempt < 2 && out.response_ms > kResponseBudgetMs; ++attempt)
+        measure();
+    std::printf("response stage (sycamore %dq fast, %zu-byte frame): "
+                "%.1f ms (budget %.0f ms), byte-identical to the string "
+                "path: %s\n",
+                kQubits, out.response_bytes, out.response_ms,
+                kResponseBudgetMs, out.response_identical ? "yes" : "NO");
+}
 
 /**
  * Warm-path latency of the compile service: one in-process permuqd
@@ -1130,6 +1264,7 @@ run_service_section(bool smoke)
                 out.byte_identical ? "yes" : "NO",
                 static_cast<long long>(server.cache().hits()));
     server.stop();
+    run_response_stage(out);
     return out;
 }
 
@@ -1536,12 +1671,20 @@ main(int argc, char** argv)
                          "\"warm_p95_ms\": %.4f, "
                          "\"warm_budget_ms\": %.2f, "
                          "\"cache_speedup\": %.1f, "
-                         "\"byte_identical\": %s},\n",
+                         "\"byte_identical\": %s, "
+                         "\"response_qubits\": 1024, "
+                         "\"response_bytes\": %zu, "
+                         "\"response_ms\": %.3f, "
+                         "\"response_budget_ms\": %.1f, "
+                         "\"response_identical\": %s},\n",
                          service.qubits, service.cold_ms,
                          service.warm_p50_ms, service.warm_p95_ms,
                          service.warm_budget_ms,
                          service.cold_ms / service.warm_p50_ms,
-                         service.byte_identical ? "true" : "false");
+                         service.byte_identical ? "true" : "false",
+                         service.response_bytes, service.response_ms,
+                         service.response_budget_ms,
+                         service.response_identical ? "true" : "false");
         else
             std::fprintf(json, "  \"service\": null,\n");
         std::fprintf(json,

@@ -18,8 +18,13 @@
 #ifndef PERMUQ_CIRCUIT_QASM_H
 #define PERMUQ_CIRCUIT_QASM_H
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "circuit/circuit.h"
 
@@ -38,14 +43,29 @@ struct QasmOptions
     bool merge_pairs = true;
 };
 
+/** Receives program text in order, one block at a time. */
+using QasmSink = std::function<void(std::string_view block)>;
+
+/**
+ * Re-encodes program text on its way out, for example escaping it for
+ * a JSON string: appends the encoding of @p text to @p out. It must
+ * work byte by byte (encode(a + b) == encode(a) + encode(b)) and leave
+ * digits and '-' unchanged, because the writer encodes each fixed token
+ * and each angle once, when it is built, and writes qubit ids as they
+ * are.
+ */
+using QasmEncoder = void (*)(std::string& out, std::string_view text);
+
 /** Serialize @p circ as an OpenQASM 2.0 program. */
 std::string to_qasm(const Circuit& circ, const QasmOptions& options = {});
 
 /**
- * Incremental OpenQASM 2.0 emission: the program is written to an
- * ostream in chunks as parts of the compilation complete, so a
- * fabric-scale (100k-qubit) compile never materializes the whole
- * program text — or even the whole circuit — in memory.
+ * The one QASM writer. The program is written in chunks as parts of
+ * the compilation complete, so a fabric-scale (100k-qubit) compile
+ * never materializes the whole program text, or even the whole
+ * circuit, in memory. Text is formatted into fixed-size blocks and
+ * handed to a sink a block at a time: qubit ids are formatted by hand,
+ * and each angle once, exactly as a default std::ostream prints it.
  *
  * Protocol: begin(global initial mapping), then chunk() once per
  * circuit fragment in program order, then finish(global final
@@ -57,9 +77,15 @@ std::string to_qasm(const Circuit& circ, const QasmOptions& options = {});
 class QasmStreamWriter
 {
   public:
-    /** @p out must outlive the writer. */
+    /** Write into @p out, which must outlive the writer. */
     explicit QasmStreamWriter(std::ostream& out,
                               const QasmOptions& options = {});
+
+    /** Hand the text to @p sink, passed through @p encoder if given. */
+    QasmStreamWriter(QasmSink sink, const QasmOptions& options = {},
+                     QasmEncoder encoder = nullptr);
+
+    ~QasmStreamWriter();
 
     /** Emit the header (and the |+> prelude when full_qaoa). */
     void begin(const Mapping& initial);
@@ -77,10 +103,58 @@ class QasmStreamWriter
     const QasmOptions& options() const { return options_; }
 
   private:
-    std::ostream* out_;
+    friend class QasmProgram;
+    struct Emitter;
+
+    /** How each op of a chunk is written (see QasmProgram). */
+    enum class Step : std::uint8_t
+    {
+        Skip, ///< merged into an earlier op
+        Compute,
+        Swap,
+        Merged, ///< a compute and a swap on one pair, as 3 CX
+    };
+
+    static std::vector<Step> lower(const Circuit& fragment,
+                                   bool merge_pairs);
+    void emit(const Circuit& fragment, const std::vector<Step>& steps,
+              std::int32_t offset);
+
     QasmOptions options_;
+    std::unique_ptr<Emitter> emitter_;
+    std::ostream* out_ = nullptr;
     bool begun_ = false;
     bool finished_ = false;
+};
+
+/**
+ * The whole program of one circuit (begin, one chunk, finish), lowered
+ * once, so its exact size is known before a byte is written: callers
+ * size their buffer or refuse an oversized result up front. to_qasm()
+ * and the compile service's plan fragments write through it.
+ */
+class QasmProgram
+{
+  public:
+    /** @p circ must outlive the program. */
+    explicit QasmProgram(const Circuit& circ,
+                         const QasmOptions& options = {},
+                         QasmEncoder encoder = nullptr);
+
+    /** Exact bytes write() hands to its sink. */
+    std::size_t size() const { return size_; }
+
+    QasmEncoder encoder() const { return encoder_; }
+
+    /** Write the program to @p sink, a block at a time. */
+    void write(const QasmSink& sink) const;
+
+  private:
+    const Circuit& circ_;
+    QasmOptions options_;
+    QasmEncoder encoder_;
+    std::vector<QasmStreamWriter::Step> steps_;
+    std::size_t size_ = 0;
 };
 
 /**

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log/flight_recorder.h"
 #include "common/timer.h"
 
@@ -54,28 +55,6 @@ struct LogRecord
     std::string msg;
 };
 
-void
-json_escape_into(std::string& out, const char* s)
-{
-    for (; *s != '\0'; ++s) {
-        const unsigned char c = static_cast<unsigned char>(*s);
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-}
-
 /** Render one record in the active format, newline-terminated. */
 std::string
 render(const LogRecord& r, Format f)
@@ -89,9 +68,9 @@ render(const LogRecord& r, Format f)
                       static_cast<unsigned long long>(r.ns),
                       level_name(r.lv), r.tid);
         line += head;
-        json_escape_into(line, r.component);
+        common::append_json_escaped(line, r.component);
         line += "\", \"msg\": \"";
-        json_escape_into(line, r.msg.c_str());
+        common::append_json_escaped(line, r.msg.c_str());
         line += "\"}\n";
     } else {
         char head[96];

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/log/flight_recorder.h"
 #include "common/stats.h"
 
@@ -81,25 +82,13 @@ trace_epoch()
     return epoch;
 }
 
-void
-json_escape_into(std::ostringstream& os, const std::string& s)
+/** @p s escaped for the inside of a JSON string literal. */
+std::string
+escaped(std::string_view s)
 {
-    for (char c : s) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
+    std::string out;
+    common::append_json_escaped(out, s);
+    return out;
 }
 
 std::string
@@ -364,7 +353,7 @@ Registry::trace_json() const
             os << ",";
         first = false;
         os << "\n{\"name\":\"";
-        json_escape_into(os, ev.name);
+        os << escaped(ev.name);
         os << "\",\"ph\":\"X\",\"ts\":" << format_double(
                   static_cast<double>(ev.start_ns) / 1e3)
            << ",\"dur\":" << format_double(
@@ -376,11 +365,11 @@ Registry::trace_json() const
                 if (i > 0)
                     os << ",";
                 os << "\"";
-                json_escape_into(os, ev.arg_keys[i]);
+                os << escaped(ev.arg_keys[i]);
                 os << "\":";
                 if (ev.arg_strs[i] != nullptr) {
                     os << "\"";
-                    json_escape_into(os, ev.arg_strs[i]);
+                    os << escaped(ev.arg_strs[i]);
                     os << "\"";
                 } else {
                     os << ev.arg_values[i];
@@ -403,7 +392,7 @@ Registry::metrics_json() const
     bool first = true;
     for (const auto& [name, v] : snap.counters) {
         os << (first ? "\n" : ",\n") << "    \"";
-        json_escape_into(os, name);
+        os << escaped(name);
         os << "\": " << v;
         first = false;
     }
@@ -411,7 +400,7 @@ Registry::metrics_json() const
     first = true;
     for (const auto& [name, v] : snap.gauges) {
         os << (first ? "\n" : ",\n") << "    \"";
-        json_escape_into(os, name);
+        os << escaped(name);
         os << "\": " << v;
         first = false;
     }
@@ -419,7 +408,7 @@ Registry::metrics_json() const
     first = true;
     for (const HistogramSnapshot& h : snap.histograms) {
         os << (first ? "\n" : ",\n") << "    \"";
-        json_escape_into(os, h.name);
+        os << escaped(h.name);
         os << "\": {\"count\": " << h.count
            << ", \"sum\": " << format_double(h.sum)
            << ", \"p50\": " << format_double(h.p50)
@@ -437,7 +426,7 @@ Registry::metrics_json() const
     first = true;
     for (const SpanStats& s : snap.spans) {
         os << (first ? "\n" : ",\n") << "    \"";
-        json_escape_into(os, s.name);
+        os << escaped(s.name);
         os << "\": {\"count\": " << s.count
            << ", \"total_ms\": " << format_double(s.total_ms)
            << ", \"p50_ms\": " << format_double(s.p50_ms)

@@ -48,18 +48,9 @@ Client::send_raw(const std::string& bytes, std::string& error)
         error = "not connected";
         return false;
     }
-    const char* data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::send(fd_, data, left, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            error = std::string("send: ") + std::strerror(errno);
-            return false;
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
+    if (!send_pieces(fd_, {bytes})) {
+        error = std::string("send: ") + std::strerror(errno);
+        return false;
     }
     return true;
 }

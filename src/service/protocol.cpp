@@ -1,13 +1,24 @@
 #include "service/protocol.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include "circuit/qasm.h"
+#include "common/error.h"
+#include "common/json.h"
+
 namespace permuq::service {
+
+using common::append_json_escaped;
 
 // ------------------------------------------------------------- errors
 
@@ -441,56 +452,79 @@ Json::parse(const std::string& text, std::string* error)
     return JsonParser(text, error).run();
 }
 
-std::string
-json_escape(const std::string& raw)
+// ------------------------------------------------------------ framing
+
+namespace {
+
+/** Append the 4-byte big-endian length prefix of a payload. */
+void
+append_frame_prefix(std::string& out, std::size_t payload_bytes)
 {
-    std::string out;
-    out.reserve(raw.size() + raw.size() / 16);
-    for (const char ch : raw) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(ch);
-            }
-        }
-    }
-    return out;
+    const std::uint32_t n = static_cast<std::uint32_t>(payload_bytes);
+    out.push_back(static_cast<char>((n >> 24) & 0xFF));
+    out.push_back(static_cast<char>((n >> 16) & 0xFF));
+    out.push_back(static_cast<char>((n >> 8) & 0xFF));
+    out.push_back(static_cast<char>(n & 0xFF));
 }
 
-// ------------------------------------------------------------ framing
+} // namespace
 
 std::string
 encode_frame(const std::string& payload)
 {
     std::string frame;
     frame.reserve(payload.size() + 4);
-    const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-    frame.push_back(static_cast<char>((n >> 24) & 0xFF));
-    frame.push_back(static_cast<char>((n >> 16) & 0xFF));
-    frame.push_back(static_cast<char>((n >> 8) & 0xFF));
-    frame.push_back(static_cast<char>(n & 0xFF));
+    append_frame_prefix(frame, payload.size());
     frame += payload;
     return frame;
+}
+
+bool
+send_pieces(int fd, std::initializer_list<std::string_view> pieces)
+{
+    iovec iov[4];
+    panic_unless(pieces.size() <= std::size(iov),
+                 "send_pieces takes at most four pieces");
+    std::size_t count = 0;
+    for (const std::string_view piece : pieces)
+        iov[count++] = {const_cast<char*>(piece.data()), piece.size()};
+    iovec* next = iov;
+    while (count > 0) {
+        msghdr message{};
+        message.msg_iov = next;
+        message.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                pollfd writable{fd, POLLOUT, 0};
+                ::poll(&writable, 1, -1);
+                continue;
+            }
+            return false;
+        }
+        // Drop the pieces this write completed; resume inside the next.
+        std::size_t sent = static_cast<std::size_t>(n);
+        while (count > 0 && sent >= next->iov_len) {
+            sent -= next->iov_len;
+            ++next;
+            --count;
+        }
+        if (count > 0) {
+            next->iov_base = static_cast<char*>(next->iov_base) + sent;
+            next->iov_len -= sent;
+        }
+    }
+    return true;
+}
+
+bool
+send_frame(int fd, const std::string& payload)
+{
+    std::string prefix;
+    append_frame_prefix(prefix, payload.size());
+    return send_pieces(fd, {prefix, payload});
 }
 
 void
@@ -813,10 +847,13 @@ build_request_payload(const Request& request)
     char buf[64];
     std::string payload = "{\"v\":" + std::to_string(kProtocolVersion) +
                           ",\"id\":" + std::to_string(request.id) +
-                          ",\"type\":\"" + json_escape(request.type) +
-                          "\"";
+                          ",\"type\":\"";
+    append_json_escaped(payload, request.type);
+    payload += '"';
     if (request.type == "compile") {
-        payload += ",\"arch\":\"" + json_escape(request.arch) + "\"";
+        payload += ",\"arch\":\"";
+        append_json_escaped(payload, request.arch);
+        payload += '"';
         payload += ",\"problem\":{\"n\":" +
                    std::to_string(request.problem_n > 0 ? request.problem_n
                                                         : request.random_n);
@@ -858,20 +895,103 @@ build_request_payload(const Request& request)
 
 // ---------------------------------------------------------- responses
 
+namespace {
+
+/** The fragment's members before the QASM text, through the quote
+ *  that opens it. */
+std::string
+fragment_head(const PlanSummary& summary)
+{
+    std::string head = "\"tier\":\"";
+    append_json_escaped(head, summary.tier);
+    head += "\",\"selected\":\"";
+    append_json_escaped(head, summary.selected);
+    head += "\",\"depth\":" + std::to_string(summary.depth) +
+            ",\"cx\":" + std::to_string(summary.cx) +
+            ",\"swaps\":" + std::to_string(summary.swaps) + ",\"qasm\":\"";
+    return head;
+}
+
+/** The fragment's members after the QASM text, from the quote that
+ *  closes it. */
+std::string
+fragment_tail(const std::string& report_json)
+{
+    return "\",\"report\":" +
+           (report_json.empty() ? std::string("{}") : report_json);
+}
+
+void
+require_escaped(const circuit::QasmProgram& qasm)
+{
+    panic_unless(qasm.encoder() == &append_json_escaped,
+                 "a plan fragment embeds JSON-escaped QASM");
+}
+
+/** A result payload up to its fragment: the per-request envelope. */
+std::string
+result_envelope(std::int64_t id, bool cached, double queue_ms,
+                double compile_ms)
+{
+    char buf[64];
+    std::string envelope = "{\"v\":" + std::to_string(kProtocolVersion) +
+                           ",\"id\":" + std::to_string(id) +
+                           ",\"type\":\"result\",\"cached\":";
+    envelope += cached ? "true" : "false";
+    std::snprintf(buf, sizeof buf, "%.3f", queue_ms);
+    envelope += ",\"queue_ms\":";
+    envelope += buf;
+    std::snprintf(buf, sizeof buf, "%.3f", compile_ms);
+    envelope += ",\"compile_ms\":";
+    envelope += buf;
+    envelope += ',';
+    return envelope;
+}
+
+} // namespace
+
 std::string
 build_plan_fragment(const PlanSummary& summary, const std::string& qasm,
                     const std::string& report_json)
 {
-    std::string fragment = "\"tier\":\"" + json_escape(summary.tier) +
-                           "\",\"selected\":\"" +
-                           json_escape(summary.selected) +
-                           "\",\"depth\":" + std::to_string(summary.depth) +
-                           ",\"cx\":" + std::to_string(summary.cx) +
-                           ",\"swaps\":" + std::to_string(summary.swaps) +
-                           ",\"qasm\":\"";
-    fragment += json_escape(qasm);
-    fragment += "\",\"report\":";
-    fragment += report_json.empty() ? "{}" : report_json;
+    const std::string head = fragment_head(summary);
+    const std::string tail = fragment_tail(report_json);
+    std::string fragment;
+    fragment.reserve(head.size() + common::json_escaped_size(qasm) +
+                     tail.size());
+    fragment += head;
+    append_json_escaped(fragment, qasm);
+    fragment += tail;
+    return fragment;
+}
+
+std::size_t
+plan_fragment_size(const PlanSummary& summary,
+                   const circuit::QasmProgram& qasm,
+                   const std::string& report_json)
+{
+    require_escaped(qasm);
+    return fragment_head(summary).size() + qasm.size() +
+           fragment_tail(report_json).size();
+}
+
+std::string
+build_plan_fragment(const PlanSummary& summary,
+                    const circuit::QasmProgram& qasm,
+                    const std::string& report_json)
+{
+    require_escaped(qasm);
+    const std::string head = fragment_head(summary);
+    const std::string tail = fragment_tail(report_json);
+    const std::size_t size = head.size() + qasm.size() + tail.size();
+    std::string fragment;
+    fragment.reserve(size);
+    fragment += head;
+    qasm.write(
+        [&fragment](std::string_view block) { fragment.append(block); });
+    fragment += tail;
+    panic_unless(fragment.size() == size,
+                 "plan fragment size differs from its prediction");
     return fragment;
 }
 
@@ -879,31 +999,37 @@ std::string
 build_result_payload(std::int64_t id, bool cached, double queue_ms,
                      double compile_ms, const std::string& fragment)
 {
-    char buf[64];
-    std::string payload = "{\"v\":" + std::to_string(kProtocolVersion) +
-                          ",\"id\":" + std::to_string(id) +
-                          ",\"type\":\"result\",\"cached\":";
-    payload += cached ? "true" : "false";
-    std::snprintf(buf, sizeof buf, "%.3f", queue_ms);
-    payload += ",\"queue_ms\":";
-    payload += buf;
-    std::snprintf(buf, sizeof buf, "%.3f", compile_ms);
-    payload += ",\"compile_ms\":";
-    payload += buf;
-    payload += ',';
+    std::string payload = result_envelope(id, cached, queue_ms, compile_ms);
+    payload.reserve(payload.size() + fragment.size() + 1);
     payload += fragment;
     payload += '}';
     return payload;
+}
+
+bool
+send_result_frame(int fd, std::int64_t id, bool cached, double queue_ms,
+                  double compile_ms, const std::string& fragment)
+{
+    const std::string envelope =
+        result_envelope(id, cached, queue_ms, compile_ms);
+    std::string head;
+    head.reserve(4 + envelope.size());
+    append_frame_prefix(head, envelope.size() + fragment.size() + 1);
+    head += envelope;
+    return send_pieces(fd, {head, fragment, "}"});
 }
 
 std::string
 build_error_payload(std::int64_t id, ErrorKind kind,
                     const std::string& message)
 {
-    return "{\"v\":" + std::to_string(kProtocolVersion) +
-           ",\"id\":" + std::to_string(id) +
-           ",\"type\":\"error\",\"error\":\"" + to_string(kind) +
-           "\",\"message\":\"" + json_escape(message) + "\"}";
+    std::string payload = "{\"v\":" + std::to_string(kProtocolVersion) +
+                          ",\"id\":" + std::to_string(id) +
+                          ",\"type\":\"error\",\"error\":\"" +
+                          to_string(kind) + "\",\"message\":\"";
+    append_json_escaped(payload, message);
+    payload += "\"}";
+    return payload;
 }
 
 std::string
@@ -923,10 +1049,12 @@ build_ok_payload(std::int64_t id)
 std::string
 build_metrics_payload(std::int64_t id, const std::string& prometheus_text)
 {
-    return "{\"v\":" + std::to_string(kProtocolVersion) +
-           ",\"id\":" + std::to_string(id) +
-           ",\"type\":\"metrics\",\"prom\":\"" +
-           json_escape(prometheus_text) + "\"}";
+    std::string payload = "{\"v\":" + std::to_string(kProtocolVersion) +
+                          ",\"id\":" + std::to_string(id) +
+                          ",\"type\":\"metrics\",\"prom\":\"";
+    append_json_escaped(payload, prometheus_text);
+    payload += "\"}";
+    return payload;
 }
 
 bool

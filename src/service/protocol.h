@@ -27,19 +27,33 @@
  * byte-identical to a one-shot `permuqc --qasm` compile of the same
  * request on both paths.
  *
- * Everything here is transport-agnostic (plain byte buffers), so the
- * codec is directly fuzzable and unit-testable without sockets.
+ * permuqd serializes each plan once: the fragment is written straight
+ * from the circuit into one string of exact size, and every result
+ * frame goes out as one gather write of its length and envelope, the
+ * shared fragment and the closing brace. The string functions
+ * (build_plan_fragment from QASM text, build_result_payload,
+ * encode_frame) produce the same bytes through the same code.
+ *
+ * Apart from the send_* functions, everything here is
+ * transport-agnostic (plain byte buffers), so the codec is directly
+ * fuzzable and unit-testable without sockets.
  */
 #ifndef PERMUQ_SERVICE_PROTOCOL_H
 #define PERMUQ_SERVICE_PROTOCOL_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
+
+namespace permuq::circuit {
+class QasmProgram;
+} // namespace permuq::circuit
 
 namespace permuq::service {
 
@@ -47,16 +61,31 @@ namespace permuq::service {
 constexpr std::int32_t kProtocolVersion = 1;
 
 /** Hard cap on one frame's payload; larger prefixes are protocol
- *  errors (a 100k-qubit QASM plan stays well under this). */
+ *  errors, and a plan whose result frame would exceed it is refused
+ *  with a typed `oversized` error. */
 constexpr std::size_t kMaxFrameBytes = 64u * 1024u * 1024u;
+
+/** Most bytes a result payload spends around its plan fragment: the
+ *  envelope with a 19-digit id and wall times below 10^16 ms (20
+ *  characters each at "%.3f"), plus the closing brace. */
+constexpr std::size_t kMaxResultEnvelopeBytes =
+    sizeof("{\"v\":1,\"id\":,\"type\":\"result\",\"cached\":false,"
+           "\"queue_ms\":,\"compile_ms\":,}") -
+    1 + 19 + 2 * 20;
+
+/** Largest plan fragment a result frame can carry. */
+constexpr std::size_t kMaxFragmentBytes =
+    kMaxFrameBytes - kMaxResultEnvelopeBytes;
 
 // ------------------------------------------------------------- errors
 
 /** Typed error kinds carried by "error" response frames. */
 enum class ErrorKind : std::int32_t
 {
-    /** Frame-level breakage: oversized length prefix. The sender
-     *  closes the connection after this error. */
+    /** A frame over kMaxFrameBytes. For an oversized length prefix
+     *  (framing is broken) the sender closes the connection after this
+     *  error; a plan whose result frame would exceed the cap is
+     *  refused with it and the connection stays usable. */
     Oversized,
     /** Payload is not valid JSON / not a JSON object. */
     BadJson,
@@ -149,13 +178,21 @@ class Json
     std::vector<std::pair<std::string, Json>> members_;
 };
 
-/** Escape @p raw for embedding inside a JSON string literal. */
-std::string json_escape(const std::string& raw);
-
 // ------------------------------------------------------------ framing
 
 /** Prepend the 4-byte big-endian length prefix to @p payload. */
 std::string encode_frame(const std::string& payload);
+
+/**
+ * Write @p pieces to the socket @p fd, in order, as gather writes
+ * (sendmsg) resumed after every partial count; on a non-blocking
+ * socket, EAGAIN waits in poll(). False on a socket error.
+ */
+bool send_pieces(int fd, std::initializer_list<std::string_view> pieces);
+
+/** Write encode_frame(@p payload) to @p fd without copying the
+ *  payload. */
+bool send_frame(int fd, const std::string& payload);
 
 /**
  * Incremental frame decoder: feed() raw bytes as they arrive, then
@@ -270,12 +307,39 @@ std::string build_plan_fragment(const PlanSummary& summary,
                                 const std::string& report_json);
 
 /**
+ * The same fragment written straight from the circuit into one string
+ * of exact size: @p qasm must be built with common::append_json_escaped
+ * as its encoder, and the result equals build_plan_fragment(summary,
+ * to_qasm(circ, options), report_json) for the program's circuit and
+ * options.
+ */
+std::string build_plan_fragment(const PlanSummary& summary,
+                                const circuit::QasmProgram& qasm,
+                                const std::string& report_json);
+
+/** Exact size of build_plan_fragment(summary, qasm, report_json),
+ *  known before any of it is written. */
+std::size_t plan_fragment_size(const PlanSummary& summary,
+                               const circuit::QasmProgram& qasm,
+                               const std::string& report_json);
+
+/**
  * Assemble a full "result" payload: the per-request envelope
  * (id, cached, queue/compile milliseconds) + @p fragment.
  */
 std::string build_result_payload(std::int64_t id, bool cached,
                                  double queue_ms, double compile_ms,
                                  const std::string& fragment);
+
+/**
+ * Write encode_frame(build_result_payload(...)) to @p fd as one gather
+ * write of the length and envelope, @p fragment and the closing brace,
+ * so the (possibly cached, shared) fragment is never copied. False on a
+ * socket error.
+ */
+bool send_result_frame(int fd, std::int64_t id, bool cached,
+                       double queue_ms, double compile_ms,
+                       const std::string& fragment);
 
 /** A typed "error" payload. */
 std::string build_error_payload(std::int64_t id, ErrorKind kind,

@@ -14,8 +14,8 @@
 #include <unistd.h>
 
 #include "arch/coupling_graph.h"
-#include "circuit/metrics.h"
 #include "circuit/qasm.h"
+#include "common/json.h"
 #include "common/log/log.h"
 #include "common/parallel.h"
 #include "common/telemetry/telemetry.h"
@@ -29,25 +29,6 @@
 namespace permuq::service {
 
 namespace {
-
-/** Write all of @p frame to @p fd; false on any socket error. */
-bool
-send_all(int fd, const std::string& frame)
-{
-    const char* data = frame.data();
-    std::size_t left = frame.size();
-    while (left > 0) {
-        const ssize_t n = ::send(fd, data, left, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** Named architecture -> kind; false for unknown names. */
 bool
@@ -175,7 +156,17 @@ struct Server::Impl
                 const std::string& payload)
     {
         std::lock_guard<std::mutex> lock(conn->write_mutex);
-        return send_all(conn->fd, encode_frame(payload));
+        return send_frame(conn->fd, payload);
+    }
+
+    bool
+    write_result(const std::shared_ptr<Connection>& conn, std::int64_t id,
+                 bool cached, double queued_ms, double work_ms,
+                 const std::string& fragment)
+    {
+        std::lock_guard<std::mutex> lock(conn->write_mutex);
+        return send_result_frame(conn->fd, id, cached, queued_ms, work_ms,
+                                 fragment);
     }
 
     void
@@ -367,9 +358,7 @@ Server::Impl::run_compile(const std::shared_ptr<Connection>& conn,
         logging::info("service",
                       "compile id=" + std::to_string(request.id) +
                           " tier=" + resolved + " cache=hit");
-        write_frame(conn, build_result_payload(request.id, true,
-                                               queued_ms, work_ms,
-                                               *fragment));
+        write_result(conn, request.id, true, queued_ms, work_ms, *fragment);
         return;
     }
     cache_misses.add();
@@ -407,23 +396,34 @@ Server::Impl::run_compile(const std::shared_ptr<Connection>& conn,
         options_cc.crosstalk_aware = request.crosstalk;
         options_cc.shard_regions = request.shard;
         options_cc.shard_margin = request.shard_margin;
-        auto result = core::compile(device, problem, options_cc);
-        const auto metrics = circuit::compute_metrics(result.circuit);
+        const auto result = core::compile(device, problem, options_cc);
 
+        // The fragment is written once, straight from the circuit, at
+        // the exact size computed before any of it is allocated.
         circuit::QasmOptions qasm_options;
         qasm_options.full_qaoa = request.full_qaoa;
-        const std::string qasm =
-            circuit::to_qasm(result.circuit, qasm_options);
-
+        const circuit::QasmProgram qasm(result.circuit, qasm_options,
+                                        common::append_json_escaped);
         PlanSummary summary;
         summary.tier = result.tier;
         summary.selected = result.selected;
-        summary.depth = metrics.depth;
-        summary.cx = metrics.cx_count;
-        summary.swaps = metrics.swap_gates;
+        summary.depth = result.metrics.depth;
+        summary.cx = result.metrics.cx_count;
+        summary.swaps = result.metrics.swap_gates;
+        const std::string report_json = result.report.to_json();
+        const std::size_t bytes =
+            plan_fragment_size(summary, qasm, report_json);
+        if (bytes > kMaxFragmentBytes) {
+            send_error(conn, request.id, ErrorKind::Oversized,
+                       "the plan takes " + std::to_string(bytes) +
+                           " bytes, more than a result frame carries "
+                           "under the " +
+                           std::to_string(kMaxFrameBytes) +
+                           "-byte frame cap");
+            return;
+        }
         auto fragment = std::make_shared<const std::string>(
-            build_plan_fragment(summary, qasm,
-                                result.report.to_json()));
+            build_plan_fragment(summary, qasm, report_json));
         cache.insert(key, fragment);
         publish_cache_stats();
 
@@ -438,9 +438,8 @@ Server::Impl::run_compile(const std::shared_ptr<Connection>& conn,
                       "compile id=" + std::to_string(request.id) +
                           " tier=" + result.tier + " cache=miss n=" +
                           std::to_string(problem.num_vertices()));
-        write_frame(conn, build_result_payload(request.id, false,
-                                               queued_ms, work_ms,
-                                               *fragment));
+        write_result(conn, request.id, false, queued_ms, work_ms,
+                     *fragment);
     } catch (const std::invalid_argument& e) {
         send_error(conn, request.id, ErrorKind::BadRequest, e.what());
     } catch (const std::exception& e) {

@@ -1,17 +1,24 @@
 /**
  * @file
- * Tests of the OpenQASM export: structural checks plus a semantic
- * check that the lowered CX/RZ sequence implements the same unitary
- * as the abstract RZZ/SWAP schedule (verified with the statevector
- * simulator, including the merged CPHASE+SWAP identity).
+ * Tests of the OpenQASM export: structural checks, a semantic check
+ * that the lowered CX/RZ sequence implements the same unitary as the
+ * abstract RZZ/SWAP schedule (verified with the statevector simulator,
+ * including the merged CPHASE+SWAP identity), and byte-for-byte
+ * agreement of the block writer with the token-by-token std::ostream
+ * writer it replaced, which lives on here as the reference.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <ostream>
 #include <sstream>
 
 #include "arch/coupling_graph.h"
 #include "circuit/circuit.h"
+#include "circuit/metrics.h"
 #include "circuit/qasm.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/compiler.h"
 #include "problem/generators.h"
@@ -19,6 +26,155 @@
 
 namespace permuq::circuit {
 namespace {
+
+/**
+ * The QASM writer as it was before the block writer: every token
+ * through std::ostream <<. Kept only as the reference the production
+ * writer must match byte for byte.
+ */
+class ReferenceWriter
+{
+  public:
+    ReferenceWriter(std::ostream& out, const QasmOptions& options)
+        : out_(out), options_(options)
+    {
+    }
+
+    void
+    begin(const Mapping& initial)
+    {
+        out_ << "OPENQASM 2.0;\n"
+             << "include \"qelib1.inc\";\n"
+             << "qreg q[" << initial.num_physical() << "];\n";
+        if (options_.full_qaoa) {
+            out_ << "creg c[" << initial.num_logical() << "];\n";
+            for (std::int32_t l = 0; l < initial.num_logical(); ++l)
+                out_ << "h q[" << initial.physical_of(l) << "];\n";
+        }
+    }
+
+    void
+    chunk(const Circuit& fragment, std::int32_t offset = 0)
+    {
+        std::vector<std::int64_t> partner(fragment.ops().size(), -1);
+        if (options_.merge_pairs)
+            partner = merge_partner(fragment);
+        const auto& ops = fragment.ops();
+        std::vector<bool> consumed(ops.size(), false);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (consumed[i])
+                continue;
+            const auto& op = ops[i];
+            const std::int32_t p = op.p + offset;
+            const std::int32_t q = op.q + offset;
+            if (partner[i] >= 0) {
+                consumed[static_cast<std::size_t>(partner[i])] = true;
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+                out_ << "rz(" << 2.0 * options_.gamma << ") q[" << q
+                     << "];\n";
+                out_ << "cx q[" << q << "],q[" << p << "];\n";
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+            } else if (op.kind == OpKind::Compute) {
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+                out_ << "rz(" << 2.0 * options_.gamma << ") q[" << q
+                     << "];\n";
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+            } else {
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+                out_ << "cx q[" << q << "],q[" << p << "];\n";
+                out_ << "cx q[" << p << "],q[" << q << "];\n";
+            }
+        }
+    }
+
+    void
+    finish(const Mapping& final_mapping)
+    {
+        if (!options_.full_qaoa)
+            return;
+        for (std::int32_t l = 0; l < final_mapping.num_logical(); ++l)
+            out_ << "rx(" << 2.0 * options_.beta << ") q["
+                 << final_mapping.physical_of(l) << "];\n";
+        for (std::int32_t l = 0; l < final_mapping.num_logical(); ++l)
+            out_ << "measure q[" << final_mapping.physical_of(l)
+                 << "] -> c[" << l << "];\n";
+    }
+
+  private:
+    std::ostream& out_;
+    QasmOptions options_;
+};
+
+std::string
+reference_qasm(const Circuit& circ, const QasmOptions& options)
+{
+    std::ostringstream out;
+    ReferenceWriter writer(out, options);
+    writer.begin(circ.initial_mapping());
+    writer.chunk(circ);
+    writer.finish(circ.final_mapping());
+    return out.str();
+}
+
+/**
+ * A random circuit on @p n fully occupied positions with a shuffled
+ * initial mapping; about a third of its computes are followed at once
+ * by a swap on the same pair, so the writer merges many pairs.
+ */
+Circuit
+random_circuit(Xoshiro256& rng, std::int32_t n, std::int32_t ops)
+{
+    std::vector<PhysicalQubit> phys(static_cast<std::size_t>(n));
+    std::iota(phys.begin(), phys.end(), 0);
+    for (std::size_t i = phys.size(); i > 1; --i)
+        std::swap(phys[i - 1], phys[rng.next_below(i)]);
+    Circuit circ(Mapping(phys, n));
+    for (std::int32_t k = 0; k < ops; ++k) {
+        const auto p = static_cast<std::int32_t>(rng.next_below(n));
+        const auto q = static_cast<std::int32_t>(rng.next_below(n));
+        if (p == q)
+            continue;
+        switch (rng.next_below(3)) {
+        case 0:
+            circ.add_compute(p, q);
+            if (rng.next_below(2) == 0)
+                circ.add_swap(p, q);
+            else
+                circ.add_swap(q, p);
+            break;
+        case 1:
+            circ.add_compute(p, q);
+            break;
+        default:
+            circ.add_swap(p, q);
+        }
+    }
+    return circ;
+}
+
+/** to_qasm and QasmProgram against the reference for @p options. */
+void
+expect_matches_reference(const Circuit& circ, const QasmOptions& options)
+{
+    const std::string want = reference_qasm(circ, options);
+    EXPECT_EQ(to_qasm(circ, options), want);
+    EXPECT_EQ(QasmProgram(circ, options).size(), want.size());
+
+    // Through an encoder the text is the encoding of the reference,
+    // and its size is predicted just as exactly.
+    std::string escaped;
+    common::append_json_escaped(escaped, want);
+    const QasmProgram program(circ, options, common::append_json_escaped);
+    std::string got;
+    std::size_t blocks = 0;
+    program.write([&](std::string_view block) {
+        got.append(block);
+        ++blocks;
+    });
+    EXPECT_EQ(got, escaped);
+    EXPECT_EQ(program.size(), escaped.size());
+    EXPECT_GE(blocks, 1u);
+}
 
 std::int64_t
 count_occurrences(const std::string& text, const std::string& what)
@@ -166,6 +322,112 @@ TEST(QasmTest, LoweredUnitaryMatchesAbstractSchedule)
             err += std::abs(got.amplitudes()[i] -
                             phase * want.amplitudes()[i]);
         EXPECT_LT(err, 1e-9) << "trial " << trial;
+    }
+}
+
+TEST(QasmWriterTest, MatchesReferenceOnRandomCircuits)
+{
+    Xoshiro256 rng(2026);
+    QasmOptions merged;
+    QasmOptions unmerged;
+    unmerged.merge_pairs = false;
+    QasmOptions full;
+    full.full_qaoa = true;
+    std::int64_t merges = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        const auto n = static_cast<std::int32_t>(2 + rng.next_below(40));
+        const Circuit circ = random_circuit(
+            rng, n, static_cast<std::int32_t>(rng.next_below(300)));
+        merges += compute_metrics(circ).merged_pairs;
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        expect_matches_reference(circ, merged);
+        expect_matches_reference(circ, unmerged);
+        expect_matches_reference(circ, full);
+    }
+    EXPECT_GT(merges, 200);
+}
+
+TEST(QasmWriterTest, MatchesReferenceAtNonDefaultAngles)
+{
+    Xoshiro256 rng(11);
+    const Circuit circ = random_circuit(rng, 12, 80);
+    for (const double gamma :
+         {0.123456789, 1e-7, 12345.678, -0.25, 0.0, 1e21, 3.0}) {
+        for (const double beta : {0.4, 1e-7, 98765.4321}) {
+            QasmOptions options;
+            options.gamma = gamma;
+            options.beta = beta;
+            options.full_qaoa = true;
+            SCOPED_TRACE(testing::Message()
+                         << "gamma " << gamma << " beta " << beta);
+            expect_matches_reference(circ, options);
+        }
+    }
+}
+
+TEST(QasmWriterTest, MatchesReferenceOnCompiledCircuits)
+{
+    // Compiled plans leave positions empty (the device is larger than
+    // the problem) and cross block boundaries at 1024 qubits.
+    for (const auto kind : {arch::ArchKind::Grid, arch::ArchKind::Sycamore,
+                            arch::ArchKind::HeavyHex}) {
+        for (const std::int32_t n : {20, 300}) {
+            const auto device = arch::smallest_arch(kind, n);
+            const auto problem = problem::random_graph(n, 0.2, 7);
+            core::CompilerOptions options;
+            options.tier = core::CompileTier::Fast;
+            const auto result = core::compile(device, problem, options);
+            QasmOptions full;
+            full.full_qaoa = true;
+            expect_matches_reference(result.circuit, {});
+            expect_matches_reference(result.circuit, full);
+        }
+    }
+}
+
+TEST(QasmWriterTest, StreamChunksMatchReference)
+{
+    // Several chunks at offsets, the way the sharded compiler streams
+    // one region at a time; the text crosses several 64 KiB blocks.
+    Xoshiro256 rng(5);
+    std::vector<Circuit> chunks;
+    for (int c = 0; c < 5; ++c)
+        chunks.push_back(random_circuit(
+            rng, 30, static_cast<std::int32_t>(rng.next_below(3000))));
+    const Mapping initial(40 * 5, 40 * 5);
+    for (const bool merge : {true, false}) {
+        QasmOptions options;
+        options.merge_pairs = merge;
+        options.gamma = 0.123456789;
+        std::ostringstream want, got;
+        ReferenceWriter reference(want, options);
+        QasmStreamWriter writer(got, options);
+        reference.begin(initial);
+        writer.begin(initial);
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            reference.chunk(chunks[c], static_cast<std::int32_t>(40 * c));
+            writer.chunk(chunks[c], static_cast<std::int32_t>(40 * c));
+        }
+        reference.finish(initial);
+        writer.finish(initial);
+        EXPECT_GT(want.str().size(), 4u * 64 * 1024);
+        EXPECT_EQ(got.str(), want.str());
+
+        // A sink sees the same bytes in blocks of at most 64 KiB.
+        std::string sunk;
+        std::size_t largest = 0;
+        QasmStreamWriter blocks(
+            [&](std::string_view block) {
+                sunk.append(block);
+                largest = std::max(largest, block.size());
+            },
+            options);
+        blocks.begin(initial);
+        for (std::size_t c = 0; c < chunks.size(); ++c)
+            blocks.chunk(chunks[c], static_cast<std::int32_t>(40 * c));
+        blocks.finish(initial);
+        EXPECT_EQ(sunk, want.str());
+        EXPECT_LE(largest, 64u * 1024);
     }
 }
 

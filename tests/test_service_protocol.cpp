@@ -11,13 +11,28 @@
  *    still serving correct responses on the next (and, for intra-frame
  *    errors, on the *same* connection);
  *  - a 500+ stream mutation sweep (the in-process twin of
- *    `permuq-fuzz --protocol`) leaves the codec standing.
+ *    `permuq-fuzz --protocol`) leaves the codec standing;
+ *  - the fragment written straight from a circuit and the gather-
+ *    written result frame carry the same bytes as the string path,
+ *    and a plan too large for one frame is refused with a typed
+ *    error on a connection that stays usable.
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 #include <string>
+#include <thread>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include "arch/coupling_graph.h"
+#include "circuit/qasm.h"
+#include "common/json.h"
+#include "core/compiler.h"
+#include "problem/generators.h"
 #include "service/client.h"
 #include "service/plan_cache.h"
 #include "service/protocol.h"
@@ -265,6 +280,123 @@ TEST(ServiceProtocol, ErrorAndResultPayloadsRoundTrip)
     EXPECT_EQ(response.report_json, "{\"total\":1}");
 }
 
+TEST(ServiceProtocol, JsonEscaperRoundTripsEveryByte)
+{
+    std::string raw;
+    for (int c = 0; c < 256; ++c)
+        raw.push_back(static_cast<char>(c));
+    raw += "plain run \"quoted\" back\\slash";
+    std::string escaped = "\"";
+    common::append_json_escaped(escaped, raw);
+    escaped += '"';
+    EXPECT_EQ(common::json_escaped_size(raw), escaped.size() - 2);
+    EXPECT_NE(escaped.find("\\r"), std::string::npos);
+    EXPECT_NE(escaped.find("\\u001f"), std::string::npos);
+    std::string error;
+    const auto doc = Json::parse(escaped, &error);
+    ASSERT_TRUE(doc) << error;
+    // Bytes >= 0x80 pass through unchanged; the parser keeps them.
+    EXPECT_EQ(doc->string_value(), raw);
+}
+
+TEST(ServiceProtocol, FragmentFromTheCircuitEqualsTheStringPath)
+{
+    struct Case
+    {
+        arch::ArchKind arch;
+        std::int32_t n;
+        core::CompileTier tier;
+        bool full_qaoa;
+    };
+    for (const Case& c :
+         {Case{arch::ArchKind::HeavyHex, 24, core::CompileTier::Best, false},
+          Case{arch::ArchKind::Grid, 64, core::CompileTier::Balanced, true},
+          Case{arch::ArchKind::Sycamore, 256, core::CompileTier::Fast,
+               false}}) {
+        const auto problem = problem::random_graph(c.n, 0.1, 3);
+        const auto device = arch::smallest_arch(c.arch, c.n);
+        core::CompilerOptions options;
+        options.tier = c.tier;
+        const auto result = core::compile(device, problem, options);
+        circuit::QasmOptions qasm_options;
+        qasm_options.full_qaoa = c.full_qaoa;
+        PlanSummary summary;
+        summary.tier = result.tier;
+        summary.selected = result.selected;
+        summary.depth = result.metrics.depth;
+        summary.cx = result.metrics.cx_count;
+        summary.swaps = result.metrics.swap_gates;
+        const circuit::QasmProgram qasm(result.circuit, qasm_options,
+                                        common::append_json_escaped);
+        for (const std::string& report :
+             {result.report.to_json(), std::string()}) {
+            const std::string want = build_plan_fragment(
+                summary, circuit::to_qasm(result.circuit, qasm_options),
+                report);
+            EXPECT_EQ(build_plan_fragment(summary, qasm, report), want);
+            EXPECT_EQ(plan_fragment_size(summary, qasm, report),
+                      want.size());
+        }
+        // Summary strings are escaped the same way on both paths.
+        summary.selected = "odd \"name\"\r\n";
+        EXPECT_EQ(build_plan_fragment(summary, qasm, "{}"),
+                  build_plan_fragment(
+                      summary,
+                      circuit::to_qasm(result.circuit, qasm_options),
+                      "{}"));
+    }
+}
+
+TEST(ServiceProtocol, GatherWrittenResultSurvivesPartialWrites)
+{
+    // A non-blocking socket with a small send buffer makes sendmsg
+    // stop partway through a piece (and fail with EAGAIN when full),
+    // so send_result_frame must resume inside every piece it splits.
+    std::string fragment;
+    for (int line = 0; fragment.size() < 300 * 1024; ++line)
+        fragment += "cx q[" + std::to_string(line % 977) + "],q[" +
+                    std::to_string(line % 13) + "];\\n";
+    for (const std::size_t filler : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{37}, std::size_t{4093}}) {
+        int fds[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        const int small = 4096;
+        ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+        ::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+        ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+        // Bytes already queued shift where the frame's pieces split.
+        const std::string lead(filler, 'x');
+        const std::string want =
+            lead + encode_frame(build_result_payload(42, true, 1.5, 2.25,
+                                                     fragment));
+        bool sent = false;
+        std::thread writer([&] {
+            sent = send_pieces(fds[0], {lead}) &&
+                   send_result_frame(fds[0], 42, true, 1.5, 2.25,
+                                     fragment);
+            ::shutdown(fds[0], SHUT_WR);
+        });
+        std::string got;
+        char buf[1500];
+        for (int reads = 0; got.size() < want.size(); ++reads) {
+            const ssize_t n = ::recv(fds[1], buf, sizeof buf, 0);
+            if (n <= 0)
+                break;
+            got.append(buf, static_cast<std::size_t>(n));
+            if (reads % 16 == 0) // let the writer find the buffer full
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        // The writer's shutdown ends a short frame; closing the reader's
+        // end fails a writer still sending a long one (one that resent
+        // bytes), so neither side can hang.
+        ::close(fds[1]);
+        writer.join();
+        ::close(fds[0]);
+        EXPECT_TRUE(sent) << "filler " << filler;
+        EXPECT_EQ(got, want) << "filler " << filler;
+    }
+}
+
 // --------------------------------------------------- live-server abuse
 
 class ServiceProtocolServer : public ::testing::Test
@@ -348,6 +480,39 @@ TEST_F(ServiceProtocolServer, OversizedPrefixGetsTypedErrorThenClose)
     Client fresh;
     ASSERT_TRUE(fresh.connect(server_->port(), error)) << error;
     ASSERT_TRUE(fresh.call(small_compile(1), response, error)) << error;
+    EXPECT_EQ(response.type, "result");
+}
+
+TEST_F(ServiceProtocolServer, OversizedPlanIsRefusedAndTheConnectionStays)
+{
+    // A 1300q Sycamore fast plan is the all-to-all swap network run to
+    // completion: about 85 MB of QASM, over the 64 MiB frame cap. The
+    // daemon refuses it from the predicted size, caches nothing, and
+    // the same connection keeps answering.
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect(server_->port(), error)) << error;
+    Request big;
+    big.id = 7;
+    big.arch = "sycamore";
+    big.problem_n = 1300;
+    big.density = 0.01;
+    big.tier = "fast";
+    Response response;
+    ASSERT_TRUE(client.call(big, response, error)) << error;
+    EXPECT_EQ(response.type, "error");
+    EXPECT_EQ(response.error, ErrorKind::Oversized);
+    EXPECT_NE(response.message.find("frame cap"), std::string::npos)
+        << response.message;
+    EXPECT_EQ(server_->cache().entries(), 0u);
+    EXPECT_EQ(server_->cache().bytes(), 0u);
+
+    Request ping;
+    ping.id = 8;
+    ping.type = "ping";
+    ASSERT_TRUE(client.call(ping, response, error)) << error;
+    EXPECT_EQ(response.type, "pong");
+    ASSERT_TRUE(client.call(small_compile(9), response, error)) << error;
     EXPECT_EQ(response.type, "result");
 }
 

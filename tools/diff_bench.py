@@ -26,7 +26,11 @@ between runs:
     the budget has not been silently raised above the committed
     baseline's -- the daemon's warm latency is a product guarantee
     like the observability tax (its byte_identical flag is covered
-    by the generic correctness-flag check);
+    by the generic correctness-flag check); the same section's
+    response stage (response_ms: the 1024q Sycamore fast plan's
+    fragment and result frame) stays within response_budget_ms, and
+    that budget has not been silently raised either (its
+    response_identical flag is a generic correctness flag);
   * the BENCH_sim.json "stages" section (the per-stage simulator
     ledger) keeps each stage within its own budget -- the fused
     spectrum's key build (spectrum_build_ms against
@@ -134,36 +138,47 @@ def diff_telemetry_overhead(base, cand):
     return status
 
 
+# BENCH_compile.json "service": (label, measured field, budget field).
+SERVICE_BUDGETS = (
+    ("warm p50", "warm_p50_ms", "warm_budget_ms"),
+    ("response stage", "response_ms", "response_budget_ms"),
+)
+
+
 def diff_service(base, cand):
-    """Gate the compile service's warm path: a cache hit that has
-    drifted over its round-trip budget (or a quietly raised budget)
-    fails the diff even though it is a timing."""
+    """Gate the compile service's warm path and response stage: a cache
+    hit or a response build that has drifted over its budget (or a
+    quietly raised budget) fails the diff even though it is a
+    timing."""
     if cand is None:
         return 0
-    p50 = cand.get("warm_p50_ms")
-    budget = cand.get("warm_budget_ms")
-    if not isinstance(p50, (int, float)) or not isinstance(
-        budget, (int, float)
-    ):
-        return fail("service section lacks numeric warm p50/budget")
     status = 0
-    if p50 > budget:
-        status |= fail(
-            f"service warm p50 {p50:.3f} ms exceeds its budget "
-            f"{budget:.2f} ms"
-        )
-    if base is not None:
-        base_budget = base.get("warm_budget_ms")
+    for label, field, budget_field in SERVICE_BUDGETS:
+        value = cand.get(field)
+        budget = cand.get(budget_field)
+        if not isinstance(value, (int, float)) or not isinstance(
+            budget, (int, float)
+        ):
+            status |= fail(f"service section lacks numeric {field}/budget")
+            continue
+        if value > budget:
+            status |= fail(
+                f"service {label} {value:.3f} ms exceeds its budget "
+                f"{budget:.2f} ms"
+            )
+        if base is None:
+            continue
+        base_budget = base.get(budget_field)
         if isinstance(base_budget, (int, float)) and budget > base_budget:
             status |= fail(
-                f"service warm budget raised from {base_budget:.2f} to "
+                f"service {label} budget raised from {base_budget:.2f} to "
                 f"{budget:.2f} ms without a baseline update"
             )
-        base_p50 = base.get("warm_p50_ms")
-        if isinstance(base_p50, (int, float)):
+        base_value = base.get(field)
+        if isinstance(base_value, (int, float)):
             print(
-                f"diff_bench: service warm p50 {p50:.3f} ms "
-                f"(baseline {base_p50:.3f} ms, budget {budget:.2f} ms)"
+                f"diff_bench: service {label} {value:.3f} ms "
+                f"(baseline {base_value:.3f} ms, budget {budget:.2f} ms)"
             )
     return status
 
