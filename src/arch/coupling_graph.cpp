@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 
 #include "common/error.h"
 
@@ -436,6 +438,47 @@ smallest_arch(ArchKind kind, std::int32_t min_qubits)
         break;
     }
     throw FatalError("smallest_arch: unsupported architecture kind");
+}
+
+namespace {
+
+/** The name table behind named_device(); no family means the fixed
+ *  Mumbai device. */
+struct NamedDevice
+{
+    const char* name;
+    std::optional<ArchKind> family;
+};
+
+constexpr NamedDevice kNamedDevices[] = {
+    {"line", ArchKind::Line},         {"grid", ArchKind::Grid},
+    {"sycamore", ArchKind::Sycamore}, {"heavyhex", ArchKind::HeavyHex},
+    {"hexagon", ArchKind::Hexagon},   {"lattice3d", ArchKind::Lattice3D},
+    {"mumbai", std::nullopt},
+};
+
+} // namespace
+
+const std::vector<std::string>&
+named_devices()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const NamedDevice& device : kNamedDevices)
+            out.emplace_back(device.name);
+        return out;
+    }();
+    return names;
+}
+
+CouplingGraph
+named_device(const std::string& name, std::int32_t qubits)
+{
+    for (const NamedDevice& device : kNamedDevices)
+        if (name == device.name)
+            return device.family ? smallest_arch(*device.family, qubits)
+                                 : make_mumbai();
+    throw std::invalid_argument("unknown arch \"" + name + "\"");
 }
 
 } // namespace permuq::arch

@@ -212,6 +212,22 @@ CouplingGraph make_custom(std::int32_t num_qubits,
  */
 CouplingGraph smallest_arch(ArchKind kind, std::int32_t min_qubits);
 
+/**
+ * The names named_device() accepts, in table order: the six regular
+ * families ("line", "grid", "sycamore", "heavyhex", "hexagon",
+ * "lattice3d"), then "mumbai".
+ */
+const std::vector<std::string>& named_devices();
+
+/**
+ * The device a named architecture gives a @p qubits-qubit problem:
+ * smallest_arch() of the family for the six regular names, the fixed
+ * make_mumbai() for "mumbai". Every front end (permuqc, permuqd,
+ * permuq-fuzz) sizes its devices here. Throws std::invalid_argument
+ * for a name outside named_devices().
+ */
+CouplingGraph named_device(const std::string& name, std::int32_t qubits);
+
 } // namespace permuq::arch
 
 #endif // PERMUQ_ARCH_COUPLING_GRAPH_H

@@ -118,31 +118,6 @@ env_trace_path()
     return (p != nullptr && p[0] != '\0') ? p : nullptr;
 }
 
-void
-set_log_level(LogLevel level)
-{
-    logging::set_level(level);
-}
-
-LogLevel
-log_level()
-{
-    return logging::level();
-}
-
-bool
-parse_log_level(const std::string& name, LogLevel& out)
-{
-    return logging::parse_level(name, out);
-}
-
-void
-log(LogLevel level, const std::string& message)
-{
-    if (level != LogLevel::Off && logging::enabled(level))
-        logging::write(level, "permuq", message);
-}
-
 // ----------------------------------------------------------- registry
 
 struct Registry::Impl

@@ -45,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log/log.h"
 #include "common/timer.h"
 
 namespace permuq::telemetry {
@@ -80,25 +79,6 @@ void set_enabled(bool on);
  * that write the trace (permuqc, bench_util) query env_trace_path().
  */
 const char* env_trace_path();
-
-// ---------------------------------------------------------------- log
-//
-// Historical entry points, now thin forwarders onto the structured
-// logger in common/log/log.h (which owns the level gate, the sinks,
-// and the async writer). New code should call permuq::logging
-// directly with a component name; these remain for existing sites.
-
-using LogLevel = logging::Level;
-
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/** Parse "debug|info|warn|error|off" (case-sensitive). */
-bool parse_log_level(const std::string& name, LogLevel& out);
-
-/** Emit via the structured logger (component "permuq") when
- *  @p level >= the configured threshold. */
-void log(LogLevel level, const std::string& message);
 
 // ------------------------------------------------------------ metrics
 

@@ -10,6 +10,7 @@
 
 #include "ata/replay.h"
 #include "common/error.h"
+#include "common/log/log.h"
 #include "common/parallel.h"
 #include "common/telemetry/telemetry.h"
 #include "common/timer.h"

@@ -6,6 +6,7 @@
 
 #include "circuit/metrics.h"
 #include "common/error.h"
+#include "common/log/log.h"
 #include "common/parallel.h"
 #include "common/telemetry/telemetry.h"
 #include "common/timer.h"

@@ -19,10 +19,7 @@ random_graph(std::int32_t n, double density, std::uint64_t seed)
     graph::Graph g(n);
     if (n < 2)
         return g;
-    std::int64_t pairs =
-        static_cast<std::int64_t>(n) * (n - 1) / 2;
-    std::int64_t target = static_cast<std::int64_t>(
-        std::llround(density * static_cast<double>(pairs)));
+    const std::int64_t target = random_graph_edges(n, density);
     Xoshiro256 rng(seed);
     std::unordered_set<VertexPair, VertexPairHash> chosen;
     while (static_cast<std::int64_t>(chosen.size()) < target) {
@@ -43,6 +40,14 @@ random_graph(std::int32_t n, double density, std::uint64_t seed)
     for (const auto& e : edges)
         g.add_edge(e.a, e.b);
     return g;
+}
+
+std::int64_t
+random_graph_edges(std::int32_t n, double density)
+{
+    const std::int64_t pairs = static_cast<std::int64_t>(n) * (n - 1) / 2;
+    return static_cast<std::int64_t>(
+        std::llround(density * static_cast<double>(pairs)));
 }
 
 graph::Graph

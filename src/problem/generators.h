@@ -24,6 +24,9 @@ namespace permuq::problem {
 graph::Graph random_graph(std::int32_t n, double density,
                           std::uint64_t seed);
 
+/** The edge count m random_graph(n, density, ...) draws. */
+std::int64_t random_graph_edges(std::int32_t n, double density);
+
 /**
  * Random d-regular graph via the configuration model with restarts;
  * n * degree must be even and degree < n.

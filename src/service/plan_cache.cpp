@@ -97,7 +97,7 @@ PlanCache::evictions() const
 }
 
 std::string
-PlanCache::make_key(const Request& request,
+PlanCache::make_key(const core::PlanRequest& request,
                     const std::string& resolved_tier)
 {
     char buf[64];

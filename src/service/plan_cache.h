@@ -38,7 +38,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "service/protocol.h"
+#include "core/plan.h"
 
 namespace permuq::service {
 
@@ -81,11 +81,12 @@ class PlanCache
     }
 
     /**
-     * Canonical cache key of @p request at @p resolved_tier (the tier
-     * after Auto resolution — the env-dependent part of the option
-     * set, resolved so entries never alias across PERMUQ_TIER edits).
+     * Canonical cache key of @p request: the PlanRequest serialized
+     * with its tier replaced by @p resolved_tier (the tier after Auto
+     * resolution — the env-dependent part of the option set, resolved
+     * so entries never alias across PERMUQ_TIER edits).
      */
-    static std::string make_key(const Request& request,
+    static std::string make_key(const core::PlanRequest& request,
                                 const std::string& resolved_tier);
 
     std::size_t bytes() const;

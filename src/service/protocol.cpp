@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -12,9 +13,11 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
+#include "arch/coupling_graph.h"
 #include "circuit/qasm.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "problem/generators.h"
 
 namespace permuq::service {
 
@@ -636,7 +639,6 @@ parse_problem(const Json& problem, Request& out, std::string& message)
                           message))
                 return false;
             out.problem_n = static_cast<std::int32_t>(v);
-            out.random_n = out.problem_n;
         } else if (key == "edges") {
             if (!value.is_array()) {
                 message = "problem.edges must be an array";
@@ -689,11 +691,15 @@ parse_problem(const Json& problem, Request& out, std::string& message)
                 message = "problem edge endpoint exceeds problem.n";
                 return false;
             }
-            if (edge.a == edge.b) {
-                message = "problem edges must not be self-loops";
-                return false;
-            }
         }
+    } else if (const std::int64_t m =
+                   problem::random_graph_edges(out.problem_n,
+                                               out.density);
+               m > static_cast<std::int64_t>(kMaxProblemEdges)) {
+        message = "the random problem draws " + std::to_string(m) +
+                  " edges, more than the protocol cap of " +
+                  std::to_string(kMaxProblemEdges);
+        return false;
     }
     return true;
 }
@@ -741,11 +747,6 @@ parse_options(const Json& options, Request& out, std::string& message)
                 return false;
             }
             out.full_qaoa = value.bool_value();
-        } else if (key == "debug_sleep_ms") {
-            if (!take_int(value, "options.debug_sleep_ms", 0, 60000, v,
-                          message))
-                return false;
-            out.debug_sleep_ms = static_cast<std::int32_t>(v);
         } else {
             message = "unknown options key \"" + key + "\"";
             return false;
@@ -805,6 +806,12 @@ parse_request(const std::string& payload, Request& out, ErrorKind& kind,
                 return reject(ErrorKind::BadRequest,
                               "arch must be a string", kind, message);
             out.arch = value.string_value();
+            const auto& names = arch::named_devices();
+            if (std::find(names.begin(), names.end(), out.arch) ==
+                names.end())
+                return reject(ErrorKind::BadRequest,
+                              "unknown arch \"" + out.arch + "\"", kind,
+                              message);
         } else if (key == "problem") {
             if (!value.is_object())
                 return reject(ErrorKind::BadRequest,
@@ -855,8 +862,7 @@ build_request_payload(const Request& request)
         append_json_escaped(payload, request.arch);
         payload += '"';
         payload += ",\"problem\":{\"n\":" +
-                   std::to_string(request.problem_n > 0 ? request.problem_n
-                                                        : request.random_n);
+                   std::to_string(request.problem_n);
         if (request.has_edges) {
             payload += ",\"edges\":[";
             for (std::size_t i = 0; i < request.edges.size(); ++i) {
@@ -884,9 +890,6 @@ build_request_payload(const Request& request)
                    std::to_string(request.shard_margin) +
                    ",\"full_qaoa\":";
         payload += request.full_qaoa ? "true" : "false";
-        if (request.debug_sleep_ms > 0)
-            payload += ",\"debug_sleep_ms\":" +
-                       std::to_string(request.debug_sleep_ms);
         payload += '}';
     }
     payload += '}';

@@ -49,7 +49,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/types.h"
+#include "core/plan.h"
 
 namespace permuq::circuit {
 class QasmProgram;
@@ -233,51 +233,22 @@ class FrameDecoder
 
 // ----------------------------------------------------------- requests
 
-/** One decoded request frame (any type). */
-struct Request
+/** One decoded request frame (any type). Compile requests carry the
+ *  whole core::PlanRequest; the other types ignore it. */
+struct Request : core::PlanRequest
 {
     std::int64_t id = 0;
     /** "compile" | "ping" | "metrics" | "shutdown". */
     std::string type = "compile";
-
-    // ----- device (compile requests) -----
-    /** Named architecture: heavyhex|sycamore|grid|hexagon|line|
-     *  lattice3d|mumbai. The device is sized to the problem with
-     *  smallest_arch(), exactly as permuqc does. */
-    std::string arch = "heavyhex";
-
-    // ----- problem: either explicit edges or a random spec -----
-    /** Vertex count; with explicit edges, must cover every endpoint. */
-    std::int32_t problem_n = 0;
-    /** Explicit problem edges; empty + n == 0 means use the random
-     *  spec below. */
-    std::vector<VertexPair> edges;
-    bool has_edges = false;
-    /** Random-graph spec (permuqc --qubits/--density/--seed). */
-    std::int32_t random_n = 64;
-    double density = 0.3;
-    std::uint64_t seed = 1;
-
-    // ----- compiler options -----
-    /** "fast" | "balanced" | "best" | "auto". */
-    std::string tier = "auto";
-    double alpha = 0.5;
-    bool crosstalk = false;
-    std::int32_t shard = 0;
-    std::int32_t shard_margin = 0;
-    /** QASM emission includes the H prelude, mixer, measures. */
-    bool full_qaoa = false;
-
-    /** Test-only knob: the worker sleeps this long before compiling,
-     *  so overload tests can hold a worker deterministically. */
-    std::int32_t debug_sleep_ms = 0;
 };
 
 /**
  * Parse one request payload. On failure fills @p kind / @p message
  * (BadJson, BadVersion, or BadRequest) and returns false. Unknown
  * object keys are rejected (BadRequest) so client/daemon version skew
- * fails loudly instead of silently ignoring options.
+ * fails loudly instead of silently ignoring options. So is what the
+ * compile would refuse: an arch outside arch::named_devices(), and a
+ * random spec drawing more edges than the explicit-edge cap.
  */
 bool parse_request(const std::string& payload, Request& out,
                    ErrorKind& kind, std::string& message);

@@ -21,35 +21,13 @@
 #include "common/telemetry/telemetry.h"
 #include "common/timer.h"
 #include "core/compiler.h"
-#include "graph/graph.h"
-#include "problem/generators.h"
+#include "core/plan.h"
 #include "service/plan_cache.h"
 #include "service/protocol.h"
 
 namespace permuq::service {
 
 namespace {
-
-/** Named architecture -> kind; false for unknown names. */
-bool
-arch_from_name(const std::string& name, arch::ArchKind& out)
-{
-    if (name == "heavyhex")
-        out = arch::ArchKind::HeavyHex;
-    else if (name == "sycamore")
-        out = arch::ArchKind::Sycamore;
-    else if (name == "grid")
-        out = arch::ArchKind::Grid;
-    else if (name == "hexagon")
-        out = arch::ArchKind::Hexagon;
-    else if (name == "line")
-        out = arch::ArchKind::Line;
-    else if (name == "lattice3d")
-        out = arch::ArchKind::Lattice3D;
-    else
-        return false;
-    return true;
-}
 
 /** Best-effort request id from a payload whose parse failed, so the
  *  error frame can still be correlated (0 when unrecoverable). */
@@ -335,14 +313,13 @@ Server::Impl::run_compile(const std::shared_ptr<Connection>& conn,
                           const Request& request, double queued_ms)
 {
     telemetry::ScopedSpan span("service.compile");
-    if (request.debug_sleep_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(request.debug_sleep_ms));
+    if (options.before_lookup)
+        options.before_lookup();
 
-    core::CompileTier tier = core::CompileTier::Auto;
-    parse_tier(request.tier, tier); // validated at parse_request
+    // The tier was validated at parse_request: this does not throw.
+    const auto compile_options = core::plan_options(request);
     const std::string resolved =
-        core::tier_name(core::resolve_tier(tier));
+        core::tier_name(core::resolve_tier(compile_options.tier));
     const std::string key = PlanCache::make_key(request, resolved);
 
     Timer work;
@@ -364,39 +341,12 @@ Server::Impl::run_compile(const std::shared_ptr<Connection>& conn,
     cache_misses.add();
 
     try {
-        // Problem and device exactly as permuqc builds them, so the
-        // response plan is byte-identical to a one-shot compile.
-        graph::Graph problem(0);
-        if (request.has_edges) {
-            graph::Graph g(request.problem_n);
-            for (const auto& edge : request.edges)
-                if (edge.a != edge.b && !g.has_edge(edge.a, edge.b))
-                    g.add_edge(edge.a, edge.b);
-            problem = std::move(g);
-        } else {
-            problem = problem::random_graph(request.problem_n,
-                                            request.density,
-                                            request.seed);
-        }
-
-        arch::CouplingGraph device = [&] {
-            if (request.arch == "mumbai")
-                return arch::make_mumbai();
-            arch::ArchKind archkind;
-            if (!arch_from_name(request.arch, archkind))
-                throw std::invalid_argument("unknown arch \"" +
-                                            request.arch + "\"");
-            return arch::smallest_arch(archkind,
-                                       problem.num_vertices());
-        }();
-
-        core::CompilerOptions options_cc;
-        options_cc.tier = tier;
-        options_cc.alpha = request.alpha;
-        options_cc.crosstalk_aware = request.crosstalk;
-        options_cc.shard_regions = request.shard;
-        options_cc.shard_margin = request.shard_margin;
-        const auto result = core::compile(device, problem, options_cc);
+        // The inputs permuqc compiles for the same request, from the
+        // same core/plan.h steps.
+        const auto problem = core::plan_problem(request);
+        const auto device =
+            arch::named_device(request.arch, problem.num_vertices());
+        const auto result = core::compile(device, problem, compile_options);
 
         // The fragment is written once, straight from the circuit, at
         // the exact size computed before any of it is allocated.

@@ -11,7 +11,8 @@
  *         ping/metrics/shutdown  answered inline (cheap)
  *         compile                try_submit() to the TaskQueue;
  *                                rejection => typed `overloaded` frame
- *       worker: plan-cache lookup -> (miss) core::compile + insert
+ *       worker: plan-cache lookup -> (miss) the core/plan.h inputs,
+ *               core::compile + insert
  *               -> result frame, written under the connection's write
  *               mutex (pipelined responses may interleave per request
  *               id, but each frame is written atomically)
@@ -31,6 +32,7 @@
 #define PERMUQ_SERVICE_SERVER_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace permuq::service {
@@ -50,6 +52,10 @@ struct ServerOptions
     std::size_t max_inflight = 32;
     /** Plan-cache byte budget. */
     std::size_t cache_budget_bytes = 256u * 1024u * 1024u;
+    /** Test hook, called on the worker before each compile's cache
+     *  lookup; tests hold a worker in it to fill the queue on cue.
+     *  Empty (and never set by permuqd) in production. */
+    std::function<void()> before_lookup;
 };
 
 /** The permuqd server core (one listening socket). */

@@ -24,16 +24,6 @@
 namespace permuq::verify {
 
 const std::vector<std::string>&
-fuzz_archs()
-{
-    static const std::vector<std::string> names = {
-        "line",    "grid",      "sycamore", "heavyhex",
-        "hexagon", "lattice3d", "mumbai",
-    };
-    return names;
-}
-
-const std::vector<std::string>&
 fuzz_compilers()
 {
     static const std::vector<std::string> names = {
@@ -41,29 +31,6 @@ fuzz_compilers()
         "2qan", "sabre",  "olsq", "satmap",
     };
     return names;
-}
-
-arch::CouplingGraph
-build_device(const FuzzConfig& config)
-{
-    if (config.arch == "mumbai")
-        return arch::make_mumbai();
-    arch::ArchKind kind;
-    if (config.arch == "line")
-        kind = arch::ArchKind::Line;
-    else if (config.arch == "grid")
-        kind = arch::ArchKind::Grid;
-    else if (config.arch == "sycamore")
-        kind = arch::ArchKind::Sycamore;
-    else if (config.arch == "heavyhex")
-        kind = arch::ArchKind::HeavyHex;
-    else if (config.arch == "hexagon")
-        kind = arch::ArchKind::Hexagon;
-    else if (config.arch == "lattice3d")
-        kind = arch::ArchKind::Lattice3D;
-    else
-        throw FatalError("unknown architecture: " + config.arch);
-    return arch::smallest_arch(kind, config.num_vertices);
 }
 
 graph::Graph
@@ -215,7 +182,8 @@ run_config(const FuzzConfig& config)
         result.failure = std::move(why);
     };
     try {
-        const auto device = build_device(config);
+        const auto device =
+            arch::named_device(config.arch, config.num_vertices);
         const auto problem = build_problem(config);
         std::optional<arch::NoiseModel> noise;
         if (config.noise)
@@ -395,7 +363,7 @@ random_config(std::uint64_t seed, std::int64_t index,
         config.arch = small_archs[rng.next_below(3)];
         config.num_vertices = static_cast<std::int32_t>(rng.next_int(4, 6));
     } else {
-        const auto& archs = fuzz_archs();
+        const auto& archs = arch::named_devices();
         config.arch = archs[rng.next_below(archs.size())];
         std::int32_t hi = std::max(max_vertices, 4);
         if (config.arch == "lattice3d")
@@ -699,7 +667,7 @@ parse_reproducer(std::istream& in, FuzzConfig& out, std::string* error)
 
     if (!saw_version)
         return bad("missing \"version\" line");
-    const auto& archs = fuzz_archs();
+    const auto& archs = arch::named_devices();
     if (std::find(archs.begin(), archs.end(), config.arch) == archs.end())
         return bad("unknown architecture \"" + config.arch + "\"");
     const auto& compilers = fuzz_compilers();

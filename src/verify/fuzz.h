@@ -27,9 +27,8 @@ namespace permuq::verify {
 /** One self-contained fuzz case: problem, device, compiler, options. */
 struct FuzzConfig
 {
-    /** Architecture name: line, grid, sycamore, heavyhex, hexagon,
-     *  lattice3d, or mumbai. The device is the smallest instance of
-     *  the family holding the problem (mumbai is fixed at 27). */
+    /** Architecture name from arch::named_devices(); the device is
+     *  arch::named_device(arch, num_vertices). */
     std::string arch = "line";
     std::int32_t num_vertices = 4;
     /** Explicit problem edges (0 <= a < b < num_vertices). */
@@ -93,9 +92,6 @@ struct CheckResult
     bool tier_a_ran = false;
 };
 
-/** Architecture names random_config() draws from. */
-const std::vector<std::string>& fuzz_archs();
-
 /** Compiler names random_config() draws from. */
 const std::vector<std::string>& fuzz_compilers();
 
@@ -105,9 +101,6 @@ const std::vector<std::string>& fuzz_compilers();
  *  qubits. */
 FuzzConfig random_config(std::uint64_t seed, std::int64_t index,
                          std::int32_t max_vertices = 10);
-
-/** Materialize the device a config compiles onto. */
-arch::CouplingGraph build_device(const FuzzConfig& config);
 
 /** Materialize the problem graph from the explicit edge list. */
 graph::Graph build_problem(const FuzzConfig& config);

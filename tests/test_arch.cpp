@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "arch/coupling_graph.h"
 #include "arch/noise_model.h"
@@ -181,6 +184,55 @@ INSTANTIATE_TEST_SUITE_P(
                                          ArchKind::HeavyHex,
                                          ArchKind::Hexagon),
                        ::testing::Values(16, 64, 100, 256, 1024)));
+
+/** Same family, name, couplers, units, path and coordinates. */
+void
+expect_same_device(const CouplingGraph& got, const CouplingGraph& want)
+{
+    EXPECT_EQ(got.kind(), want.kind());
+    EXPECT_EQ(got.name(), want.name());
+    EXPECT_EQ(got.couplers(), want.couplers());
+    EXPECT_EQ(got.units(), want.units());
+    EXPECT_EQ(got.unit_groups(), want.unit_groups());
+    EXPECT_EQ(got.longest_path(), want.longest_path());
+    EXPECT_EQ(got.off_path().size(), want.off_path().size());
+    EXPECT_EQ(got.coordinates(), want.coordinates());
+}
+
+TEST(NamedDeviceTest, EveryFamilyIsItsSmallestArch)
+{
+    const std::pair<const char*, ArchKind> families[] = {
+        {"line", ArchKind::Line},         {"grid", ArchKind::Grid},
+        {"sycamore", ArchKind::Sycamore}, {"heavyhex", ArchKind::HeavyHex},
+        {"hexagon", ArchKind::Hexagon},   {"lattice3d", ArchKind::Lattice3D},
+    };
+    for (const auto& [name, kind] : families)
+        for (const std::int32_t qubits : {1, 10, 27, 64}) {
+            SCOPED_TRACE(std::string(name) + " " + std::to_string(qubits));
+            expect_same_device(named_device(name, qubits),
+                               smallest_arch(kind, qubits));
+        }
+}
+
+TEST(NamedDeviceTest, MumbaiIsTheFixedFalcon)
+{
+    for (const std::int32_t qubits : {5, 27})
+        expect_same_device(named_device("mumbai", qubits), make_mumbai());
+}
+
+TEST(NamedDeviceTest, TheTableListsExactlyTheAcceptedNames)
+{
+    const std::vector<std::string> want = {
+        "line",    "grid",      "sycamore", "heavyhex",
+        "hexagon", "lattice3d", "mumbai",
+    };
+    EXPECT_EQ(named_devices(), want);
+    for (const std::string& name : named_devices())
+        EXPECT_NO_THROW(named_device(name, 8)) << name;
+    for (const char* name : {"warp", "heavy-hex", "HeavyHex", "custom", ""})
+        EXPECT_THROW(named_device(name, 8), std::invalid_argument)
+            << name;
+}
 
 TEST(NoiseModelTest, IdealIsZero)
 {

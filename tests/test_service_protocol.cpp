@@ -243,6 +243,60 @@ TEST(ServiceProtocol, MalformedRequestsYieldTypedErrors)
     EXPECT_EQ(kind, ErrorKind::BadJson);
 }
 
+TEST(ServiceProtocol, ParseRefusesWhatTheCompileWouldRefuse)
+{
+    Request out;
+    ErrorKind kind;
+    std::string message;
+    auto compile = [](const std::string& members) {
+        return "{\"v\":1,\"id\":1,\"type\":\"compile\"," + members + "}";
+    };
+
+    // An arch outside arch::named_devices().
+    EXPECT_FALSE(parse_request(
+        compile("\"arch\":\"warp\",\"problem\":{\"n\":8}"), out, kind,
+        message));
+    EXPECT_EQ(kind, ErrorKind::BadRequest);
+    EXPECT_NE(message.find("warp"), std::string::npos) << message;
+
+    // A random spec drawing more edges than the 2^22 explicit-edge cap:
+    // at density 1, n = 2897 draws 4194856 edges, n = 2896 4191960.
+    EXPECT_FALSE(parse_request(
+        compile("\"problem\":{\"n\":2897,\"density\":1}"), out, kind,
+        message));
+    EXPECT_EQ(kind, ErrorKind::BadRequest);
+    EXPECT_NE(message.find("4194856"), std::string::npos) << message;
+    EXPECT_TRUE(parse_request(
+        compile("\"problem\":{\"n\":2896,\"density\":1}"), out, kind,
+        message))
+        << message;
+    EXPECT_FALSE(parse_request(
+        compile("\"problem\":{\"n\":1048576,\"density\":1}"), out,
+        kind, message));
+    EXPECT_EQ(kind, ErrorKind::BadRequest);
+    // Explicit edges are capped by their count, not by n.
+    EXPECT_TRUE(parse_request(
+        compile("\"problem\":{\"n\":1048576,\"edges\":[[0,1]]}"), out,
+        kind, message))
+        << message;
+
+    // Self-loops and repeats are the compile's to drop, as in permuqc.
+    ASSERT_TRUE(parse_request(
+        compile("\"problem\":{\"n\":4,\"edges\":[[2,2],[0,1],[1,0]]}"),
+        out, kind, message))
+        << message;
+    EXPECT_EQ(out.edges.size(), 3u);
+
+    // debug_sleep_ms is no wire field: a frame carrying it is refused.
+    EXPECT_FALSE(parse_request(
+        compile("\"problem\":{\"n\":8},"
+                "\"options\":{\"debug_sleep_ms\":2000}"),
+        out, kind, message));
+    EXPECT_EQ(kind, ErrorKind::BadRequest);
+    EXPECT_NE(message.find("debug_sleep_ms"), std::string::npos)
+        << message;
+}
+
 TEST(ServiceProtocol, ErrorAndResultPayloadsRoundTrip)
 {
     Response response;
@@ -426,8 +480,72 @@ class ServiceProtocolServer : public ::testing::Test
         return request;
     }
 
+    /** @p request gets a typed bad_request without reaching the
+     *  queue or the cache, and the connection then answers a ping. */
+    void
+    expect_refused_at_parse(const Request& request)
+    {
+        Client client;
+        std::string error;
+        ASSERT_TRUE(client.connect(server_->port(), error)) << error;
+        Response response;
+        ASSERT_TRUE(client.call(request, response, error)) << error;
+        EXPECT_EQ(response.type, "error");
+        EXPECT_EQ(response.error, ErrorKind::BadRequest);
+        EXPECT_EQ(response.id, request.id);
+        EXPECT_EQ(server_->cache().misses(), 0);
+
+        Request ping;
+        ping.id = request.id + 1;
+        ping.type = "ping";
+        ASSERT_TRUE(client.call(ping, response, error)) << error;
+        EXPECT_EQ(response.type, "pong");
+        EXPECT_EQ(response.id, ping.id);
+    }
+
     std::unique_ptr<Server> server_;
 };
+
+TEST_F(ServiceProtocolServer, UnknownArchIsRefusedAtParse)
+{
+    Request request = small_compile(3);
+    request.arch = "warp";
+    expect_refused_at_parse(request);
+}
+
+TEST_F(ServiceProtocolServer, RandomSpecOverTheEdgeCapIsRefusedAtParse)
+{
+    // 2^20 vertices at density 1: about 5.5e11 edges for random_graph
+    // to draw, were it admitted.
+    Request request = small_compile(5);
+    request.problem_n = 1 << 20;
+    request.density = 1.0;
+    expect_refused_at_parse(request);
+}
+
+TEST_F(ServiceProtocolServer, SelfLoopsAndRepeatsAreDroppedAsInPermuqc)
+{
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect(server_->port(), error)) << error;
+    Request request = small_compile(4);
+    request.has_edges = true;
+    request.problem_n = 5;
+    request.edges = {{0, 1}, {1, 2}, {2, 2}, {2, 3}, {1, 0}, {3, 4}};
+    Response response;
+    ASSERT_TRUE(client.call(request, response, error)) << error;
+    ASSERT_EQ(response.type, "result") << response.message;
+
+    // The path graph those edges mean, compiled directly.
+    graph::Graph problem(5);
+    for (std::int32_t v = 0; v < 4; ++v)
+        problem.add_edge(v, v + 1);
+    core::CompilerOptions options;
+    options.tier = core::CompileTier::Fast;
+    const auto result = core::compile(
+        arch::smallest_arch(arch::ArchKind::HeavyHex, 5), problem, options);
+    EXPECT_EQ(response.qasm, circuit::to_qasm(result.circuit));
+}
 
 TEST_F(ServiceProtocolServer, IntraFrameErrorsKeepTheConnectionUsable)
 {

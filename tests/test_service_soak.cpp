@@ -23,6 +23,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,7 +64,6 @@ spec_request(const Spec& spec, std::int64_t id)
     request.id = id;
     request.arch = "heavyhex";
     request.problem_n = spec.n;
-    request.random_n = spec.n;
     request.density = spec.density;
     request.seed = spec.seed;
     request.tier = spec.tier;
@@ -263,55 +264,97 @@ TEST(ServiceSoak, PipelinedMixedLoadIsOrderedCachedAndByteIdentical)
     server.stop();
 }
 
+/** Parks the server's workers in ServerOptions::before_lookup until
+ *  release(). */
+struct Latch
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    int parked = 0;
+    bool open = false;
+
+    void
+    park()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++parked;
+        cv.notify_all();
+        cv.wait(lock, [&] { return open; });
+    }
+
+    /** True once @p n workers have parked (false after a minute). */
+    bool
+    wait_parked(int n)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return cv.wait_for(lock, std::chrono::minutes(1),
+                           [&] { return parked >= n; });
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            open = true;
+        }
+        cv.notify_all();
+    }
+};
+
+/**
+ * Against one worker parked on @p latch and a depth-1 queue, pipeline
+ * four compiles: the first occupies the worker, the second waits in
+ * the queue, the last two bounce with a typed `overloaded` error
+ * while the worker is still parked. Releasing the latch then serves
+ * the first two.
+ */
+void
+expect_two_served_two_overloaded(int port, Latch& latch)
+{
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect(port, error)) << error;
+    const Spec spec{10, 0.4, 7, "fast"};
+    for (int i = 0; i < 4; ++i) {
+        Request request = spec_request(spec, 100 + i);
+        request.seed = static_cast<std::uint64_t>(100 + i);
+        ASSERT_TRUE(client.send(request, error)) << error;
+        if (i == 0) {
+            ASSERT_TRUE(latch.wait_parked(1));
+        }
+    }
+
+    Response response;
+    for (const std::int64_t id : {102, 103}) {
+        ASSERT_TRUE(client.receive(response, error)) << error;
+        EXPECT_EQ(response.id, id);
+        ASSERT_EQ(response.type, "error");
+        EXPECT_EQ(response.error, ErrorKind::Overloaded);
+    }
+    latch.release();
+    for (const std::int64_t id : {100, 101}) {
+        ASSERT_TRUE(client.receive(response, error)) << error;
+        EXPECT_EQ(response.id, id);
+        EXPECT_EQ(response.type, "result");
+    }
+}
+
 TEST(ServiceSoak, BoundedQueueRejectsWithTypedOverloaded)
 {
+    Latch latch;
     ServerOptions options;
     options.port = 0;
     options.workers = 1;
     options.queue_depth = 1;
+    options.before_lookup = [&latch] { latch.park(); };
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    Client client;
-    ASSERT_TRUE(client.connect(server.port(), error)) << error;
-
-    // Four pipelined slow requests against one worker and a depth-1
-    // queue: the first occupies the worker, at most one more waits,
-    // the rest bounce with a typed `overloaded` error. Exact counts
-    // depend on dequeue timing, but the contract is fixed: every id
-    // is answered exactly once, at least one succeeds, at least one
-    // is rejected, and nothing else comes back.
-    constexpr int kRequests = 4;
-    Spec spec{10, 0.4, 7, "fast"};
-    for (int i = 0; i < kRequests; ++i) {
-        Request request = spec_request(spec, 100 + i);
-        request.seed = static_cast<std::uint64_t>(100 + i);
-        request.debug_sleep_ms = 300;
-        ASSERT_TRUE(client.send(request, error)) << error;
-    }
-
-    std::set<std::int64_t> answered;
-    int results = 0;
-    int overloaded = 0;
-    for (int i = 0; i < kRequests; ++i) {
-        Response response;
-        ASSERT_TRUE(client.receive(response, error)) << error;
-        EXPECT_TRUE(answered.insert(response.id).second)
-            << "id " << response.id << " answered twice";
-        if (response.type == "result") {
-            ++results;
-        } else {
-            ASSERT_EQ(response.type, "error");
-            EXPECT_EQ(response.error, ErrorKind::Overloaded);
-            ++overloaded;
-        }
-    }
-    EXPECT_EQ(static_cast<int>(answered.size()), kRequests);
-    EXPECT_GE(results, 1);
-    EXPECT_GE(overloaded, 1);
-    EXPECT_EQ(results + overloaded, kRequests);
-
+    expect_two_served_two_overloaded(server.port(), latch);
+    // Also after a failed assertion: stop() waits for a parked worker.
+    latch.release();
     server.stop();
 }
 

@@ -328,20 +328,3 @@ TEST_F(TelemetryTest, ConcurrentExportWhileRecording)
     EXPECT_NE(text.find("permuq_test_stress_counter"),
               std::string::npos);
 }
-
-TEST(TelemetryLogTest, LevelsParseAndFilter)
-{
-    LogLevel level;
-    EXPECT_TRUE(parse_log_level("debug", level));
-    EXPECT_EQ(level, LogLevel::Debug);
-    EXPECT_TRUE(parse_log_level("off", level));
-    EXPECT_EQ(level, LogLevel::Off);
-    EXPECT_FALSE(parse_log_level("verbose", level));
-
-    LogLevel before = log_level();
-    set_log_level(LogLevel::Error);
-    EXPECT_EQ(log_level(), LogLevel::Error);
-    log(LogLevel::Debug, "filtered out");
-    log(LogLevel::Error, "printed to stderr");
-    set_log_level(before);
-}

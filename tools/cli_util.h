@@ -1,8 +1,9 @@
 /**
  * @file
  * Small helpers shared by the PermuQ command-line tools (permuqc,
- * permuqd, permuq-client): the did-you-mean flag hint and the
- * PERMUQ_* env-knob report. Header-only; tools/ is not a library.
+ * permuqd, permuq-client): the did-you-mean flag hint, the PERMUQ_*
+ * env-knob report, and the plan flags permuqc and permuq-client share.
+ * Header-only; tools/ is not a library.
  */
 #ifndef PERMUQ_TOOLS_CLI_UTIL_H
 #define PERMUQ_TOOLS_CLI_UTIL_H
@@ -10,8 +11,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include "core/options.h"
+#include "core/plan.h"
 
 namespace permuq::tools {
 
@@ -79,6 +85,92 @@ env_int(const char* name, long long fallback)
 {
     const char* value = std::getenv(name);
     return value != nullptr ? std::atoll(value) : fallback;
+}
+
+/** The value of the flag argv[@p i], moving @p i onto it; a missing
+ *  value exits with status 2 after a message prefixed by @p tool. */
+inline const char*
+flag_value(const char* tool, int argc, char** argv, int& i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: %s needs a value\n", tool, argv[i]);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+/**
+ * core::read_edge_list() of the file @p path into @p request. False
+ * and @p error when the file cannot be opened or holds no edge.
+ */
+inline bool
+read_edge_file(const std::string& path, core::PlanRequest& request,
+               std::string& error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        error = "cannot open " + path;
+        return false;
+    }
+    core::read_edge_list(in, request);
+    if (request.edges.empty()) {
+        error = path + " holds no edge";
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Apply argv[@p i] to @p request when it is one of the plan flags
+ * permuqc and permuq-client share — --arch --qubits --density --seed
+ * --input --tier --alpha --crosstalk --full-qaoa --shard
+ * --shard-margin — moving @p i past its value; false for any other
+ * flag. --input only records its path in @p input: the caller reads
+ * it with read_edge_file() once every flag is in, so it wins over the
+ * random spec whatever the flag order. A missing or bad value exits
+ * with status 2 after a message prefixed by @p tool.
+ */
+inline bool
+take_plan_flag(const char* tool, int argc, char** argv, int& i,
+               core::PlanRequest& request, std::string& input)
+{
+    auto is = [&](const char* flag) {
+        return std::strcmp(argv[i], flag) == 0;
+    };
+    auto value = [&] { return flag_value(tool, argc, argv, i); };
+    if (is("--arch"))
+        request.arch = value();
+    else if (is("--qubits"))
+        request.problem_n = std::atoi(value());
+    else if (is("--density"))
+        request.density = std::atof(value());
+    else if (is("--seed"))
+        request.seed = static_cast<std::uint64_t>(std::atoll(value()));
+    else if (is("--input"))
+        input = value();
+    else if (is("--tier")) {
+        request.tier = value();
+        core::CompileTier tier;
+        if (!core::parse_tier(request.tier, tier)) {
+            std::fprintf(stderr,
+                         "%s: bad --tier %s (want "
+                         "fast|balanced|best|auto)\n",
+                         tool, request.tier.c_str());
+            std::exit(2);
+        }
+    } else if (is("--alpha"))
+        request.alpha = std::atof(value());
+    else if (is("--crosstalk"))
+        request.crosstalk = true;
+    else if (is("--full-qaoa"))
+        request.full_qaoa = true;
+    else if (is("--shard"))
+        request.shard = std::atoi(value());
+    else if (is("--shard-margin"))
+        request.shard_margin = std::atoi(value());
+    else
+        return false;
+    return true;
 }
 
 } // namespace permuq::tools

@@ -4,14 +4,16 @@
  *
  *   permuq-client --port 7411 --ping
  *   permuq-client --port 7411 --qubits 64 --tier fast --qasm out.qasm
- *   permuq-client --port 7411 --count 8 --sleep 200 --expect-overload
+ *   permuq-client --port 7411 --input problem.edges --qasm out.qasm
  *   permuq-client --port 7411 --metrics prom.txt
  *   permuq-client --port 7411 --shutdown
  *
- * One process == one connection. --count pipelines N copies of the
- * compile request (ids 1..N) before reading any response, which is
- * how CI forces a deterministic `overloaded` rejection out of a
- * --workers 1 --queue-depth 1 daemon. Exit status: 0 on success, 1
+ * One process == one connection. The plan flags are permuqc's, parsed
+ * by the same helper into the same request, so a response plan is
+ * byte-identical to `permuqc --qasm` with those flags. --count
+ * pipelines N copies of the compile request (ids 1..N) before reading
+ * any response, which is how CI forces an `overloaded` rejection out
+ * of a --workers 1 --queue-depth 1 daemon. Exit status: 0 on success, 1
  * on any unexpected error frame or transport failure, 2 on usage
  * errors; with --expect-overload the meaning inverts for overload
  * frames (at least one must arrive).
@@ -19,9 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "cli_util.h"
 #include "common/log/flight_recorder.h"
@@ -41,7 +41,7 @@ constexpr const char* kKnownFlags[] = {
     "--arch",     "--qubits",      "--density",   "--seed",
     "--input",    "--tier",        "--alpha",     "--crosstalk",
     "--full-qaoa", "--shard",      "--shard-margin",
-    "--count",    "--sleep",       "--qasm",      "--report",
+    "--count",    "--qasm",        "--report",
     "--expect-overload", "--version", "--help",
 };
 
@@ -72,8 +72,6 @@ usage(std::FILE* out)
         "  --shard-margin W  minimum extra band height\n"
         "  --count N         pipeline N copies (ids 1..N) before "
         "reading\n"
-        "  --sleep MS        per-request debug sleep (overload "
-        "tests)\n"
         "  --qasm FILE       write the (last) response plan QASM\n"
         "  --report FILE     write the (last) response report JSON\n"
         "  --expect-overload succeed only if >= 1 response was the "
@@ -81,33 +79,6 @@ usage(std::FILE* out)
         "                    `overloaded` error\n"
         "  --version         print the version and env knobs, exit\n"
         "  --help            print this message and exit\n");
-}
-
-bool
-load_edges(const std::string& path, service::Request& request,
-           std::string& error)
-{
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return false;
-    }
-    std::int32_t max_vertex = -1;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream fields(line);
-        std::int32_t u, v;
-        if (fields >> u >> v) {
-            request.edges.push_back({u, v});
-            max_vertex = std::max({max_vertex, u, v});
-        }
-    }
-    request.has_edges = true;
-    request.problem_n = max_vertex + 1;
-    return true;
 }
 
 } // namespace
@@ -126,17 +97,14 @@ main(int argc, char** argv)
     bool expect_overload = false;
 
     for (int i = 1; i < argc; ++i) {
+        if (tools::take_plan_flag("permuq-client", argc, argv, i, request,
+                                  input))
+            continue;
         auto is = [&](const char* flag) {
             return std::strcmp(argv[i], flag) == 0;
         };
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "permuq-client: %s needs a "
-                                     "value\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&] {
+            return tools::flag_value("permuq-client", argc, argv, i);
         };
         if (is("--help")) {
             usage(stdout);
@@ -154,41 +122,8 @@ main(int argc, char** argv)
             metrics_out = value();
         } else if (is("--shutdown"))
             mode = "shutdown";
-        else if (is("--arch"))
-            request.arch = value();
-        else if (is("--qubits"))
-            request.problem_n = std::atoi(value());
-        else if (is("--density"))
-            request.density = std::atof(value());
-        else if (is("--seed"))
-            request.seed =
-                static_cast<std::uint64_t>(std::atoll(value()));
-        else if (is("--input"))
-            input = value();
-        else if (is("--tier")) {
-            request.tier = value();
-            if (request.tier != "fast" && request.tier != "balanced" &&
-                request.tier != "best" && request.tier != "auto") {
-                std::fprintf(stderr,
-                             "permuq-client: bad --tier %s (want "
-                             "fast|balanced|best|auto)\n",
-                             request.tier.c_str());
-                return 2;
-            }
-        } else if (is("--alpha"))
-            request.alpha = std::atof(value());
-        else if (is("--crosstalk"))
-            request.crosstalk = true;
-        else if (is("--full-qaoa"))
-            request.full_qaoa = true;
-        else if (is("--shard"))
-            request.shard = std::atoi(value());
-        else if (is("--shard-margin"))
-            request.shard_margin = std::atoi(value());
         else if (is("--count"))
             count = std::atoll(value());
-        else if (is("--sleep"))
-            request.debug_sleep_ms = std::atoi(value());
         else if (is("--qasm"))
             qasm_out = value();
         else if (is("--report"))
@@ -213,6 +148,12 @@ main(int argc, char** argv)
     }
 
     std::string error;
+    if (mode == "compile" && !input.empty() &&
+        !tools::read_edge_file(input, request, error)) {
+        std::fprintf(stderr, "permuq-client: %s\n", error.c_str());
+        return 1;
+    }
+
     service::Client client;
     if (!client.connect(port, error)) {
         std::fprintf(stderr, "permuq-client: %s\n", error.c_str());
@@ -253,11 +194,6 @@ main(int argc, char** argv)
             std::printf("%s\n", mode == "ping" ? "pong" : "ok");
         }
         return 0;
-    }
-
-    if (!input.empty() && !load_edges(input, request, error)) {
-        std::fprintf(stderr, "permuq-client: %s\n", error.c_str());
-        return 1;
     }
 
     // Pipeline all requests, then collect all responses (they may

@@ -10,7 +10,9 @@
  *   permuqc --arch mumbai --qubits 12 --density 0.3 --compiler 2qan
  *
  * The --input format is one "u v" edge per line (0-based vertex ids;
- * '#' comments allowed); the vertex count is 1 + the largest id.
+ * '#' comments allowed); the vertex count is 1 + the largest id. The
+ * flags permuqc shares with permuq-client build one core::PlanRequest,
+ * compiled through the same core/plan.h steps permuqd takes.
  */
 #include <cstdio>
 #include <algorithm>
@@ -18,7 +20,6 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include <sys/resource.h>
@@ -36,6 +37,7 @@
 #include "common/telemetry/telemetry.h"
 #include "common/vecops.h"
 #include "core/compiler.h"
+#include "core/plan.h"
 #include "problem/generators.h"
 #include "sim/nelder_mead.h"
 #include "sim/qaoa.h"
@@ -51,9 +53,9 @@ namespace {
 
 using namespace permuq;
 
+/** permuqc's own flags; the plan flags fill a core::PlanRequest. */
 struct Cli
 {
-    std::string arch = "heavyhex";
     /** Custom device: coupler edge-list file (overrides --arch). */
     std::string arch_file;
     std::string compiler = "ours";
@@ -63,14 +65,8 @@ struct Cli
     std::string metrics_out;
     std::string prom_out;
     std::string report_out;
-    std::int32_t qubits = 64;
-    double density = 0.3;
-    std::uint64_t seed = 1;
     std::optional<std::uint64_t> noise_seed;
-    double alpha = 0.5;
-    bool crosstalk = false;
     bool diagram = false;
-    bool full_qaoa = false;
     bool mem_stats = false;
     std::int32_t qaoa_layers = 0;
     std::int32_t qaoa_rounds = 60;
@@ -79,12 +75,6 @@ struct Cli
     std::int32_t sweep_betas = 0;
     /** Multi-problem sweep width (1 = just the compiled problem). */
     std::int32_t sweep_problems = 1;
-    /** Region count for sharded compilation; 0 = off. Seeded from the
-     *  PERMUQ_SHARD env var, overridden by --shard. */
-    std::int32_t shard = 0;
-    std::int32_t shard_margin = 0;
-    /** Latency/quality tier; Auto resolves PERMUQ_TIER in compile(). */
-    core::CompileTier tier = core::CompileTier::Auto;
 };
 
 /** Every flag permuqc understands, for the did-you-mean hint. */
@@ -180,35 +170,6 @@ usage(std::FILE* out)
         "  --help          print this message and exit\n");
 }
 
-std::optional<graph::Graph>
-load_edge_list(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "permuqc: cannot open %s\n", path.c_str());
-        return std::nullopt;
-    }
-    std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-    std::int32_t max_vertex = -1;
-    std::string line;
-    while (std::getline(in, line)) {
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream fields(line);
-        std::int32_t u, v;
-        if (fields >> u >> v) {
-            edges.emplace_back(u, v);
-            max_vertex = std::max({max_vertex, u, v});
-        }
-    }
-    graph::Graph g(max_vertex + 1);
-    for (auto [u, v] : edges)
-        if (u != v && !g.has_edge(u, v))
-            g.add_edge(u, v);
-    return g;
-}
-
 } // namespace
 
 int
@@ -218,19 +179,20 @@ main(int argc, char** argv)
     // ring to permuq_flight.json (PERMUQ_FLIGHT overrides the path).
     flight::install_crash_handler();
     Cli cli;
+    core::PlanRequest request;
+    request.problem_n = 64;
+    // The --shard default; the flag overrides it.
     if (const char* env = std::getenv("PERMUQ_SHARD"))
-        cli.shard = std::atoi(env);
+        request.shard = std::atoi(env);
     for (int i = 1; i < argc; ++i) {
+        if (tools::take_plan_flag("permuqc", argc, argv, i, request,
+                                  cli.input))
+            continue;
         auto is = [&](const char* flag) {
             return std::strcmp(argv[i], flag) == 0;
         };
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "permuqc: %s needs a value\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&] {
+            return tools::flag_value("permuqc", argc, argv, i);
         };
         if (is("--help")) {
             usage(stdout);
@@ -239,31 +201,15 @@ main(int argc, char** argv)
             std::printf("permuqc %s\n", PERMUQ_VERSION);
             print_env_knobs(stdout);
             return 0;
-        } else if (is("--arch"))
-            cli.arch = value();
-        else if (is("--arch-file"))
+        } else if (is("--arch-file"))
             cli.arch_file = value();
-        else if (is("--qubits"))
-            cli.qubits = std::atoi(value());
-        else if (is("--density"))
-            cli.density = std::atof(value());
-        else if (is("--seed"))
-            cli.seed = static_cast<std::uint64_t>(std::atoll(value()));
-        else if (is("--input"))
-            cli.input = value();
         else if (is("--compiler"))
             cli.compiler = value();
         else if (is("--noise"))
             cli.noise_seed =
                 static_cast<std::uint64_t>(std::atoll(value()));
-        else if (is("--alpha"))
-            cli.alpha = std::atof(value());
-        else if (is("--crosstalk"))
-            cli.crosstalk = true;
         else if (is("--qasm"))
             cli.qasm_out = value();
-        else if (is("--full-qaoa"))
-            cli.full_qaoa = true;
         else if (is("--qaoa"))
             cli.qaoa_layers = std::atoi(value());
         else if (is("--qaoa-rounds"))
@@ -292,19 +238,6 @@ main(int argc, char** argv)
         }
         else if (is("--diagram"))
             cli.diagram = true;
-        else if (is("--shard"))
-            cli.shard = std::atoi(value());
-        else if (is("--shard-margin"))
-            cli.shard_margin = std::atoi(value());
-        else if (is("--tier")) {
-            if (!core::parse_tier(value(), cli.tier)) {
-                std::fprintf(stderr,
-                             "permuqc: bad --tier %s (want "
-                             "fast|balanced|best|auto)\n",
-                             argv[i]);
-                return 2;
-            }
-        }
         else if (is("--mem-stats"))
             cli.mem_stats = true;
         else if (is("--trace"))
@@ -342,51 +275,25 @@ main(int argc, char** argv)
         !cli.prom_out.empty())
         telemetry::set_enabled(true);
 
-    try {
-        // Problem.
-        graph::Graph problem(0);
-        if (!cli.input.empty()) {
-            auto loaded = load_edge_list(cli.input);
-            if (!loaded)
-                return 1;
-            problem = std::move(*loaded);
-        } else {
-            problem = problem::random_graph(cli.qubits, cli.density,
-                                            cli.seed);
-        }
+    std::string error;
+    if (!cli.input.empty() &&
+        !tools::read_edge_file(cli.input, request, error)) {
+        std::fprintf(stderr, "permuqc: %s\n", error.c_str());
+        return 1;
+    }
 
-        // Device.
-        arch::CouplingGraph device = [&] {
-            if (!cli.arch_file.empty()) {
-                auto couplers = load_edge_list(cli.arch_file);
-                if (!couplers)
-                    throw FatalError("cannot read --arch-file " +
-                                     cli.arch_file);
-                arch::CouplingGraphBuilder builder(
-                    couplers->num_vertices(), arch::ArchKind::Custom,
-                    "custom:" + cli.arch_file);
-                for (const auto& link : couplers->edges())
-                    builder.add_coupler(link.a, link.b);
-                return builder.build();
-            }
-            if (cli.arch == "mumbai")
-                return arch::make_mumbai();
-            arch::ArchKind kind;
-            if (cli.arch == "heavyhex")
-                kind = arch::ArchKind::HeavyHex;
-            else if (cli.arch == "sycamore")
-                kind = arch::ArchKind::Sycamore;
-            else if (cli.arch == "grid")
-                kind = arch::ArchKind::Grid;
-            else if (cli.arch == "hexagon")
-                kind = arch::ArchKind::Hexagon;
-            else if (cli.arch == "line")
-                kind = arch::ArchKind::Line;
-            else if (cli.arch == "lattice3d")
-                kind = arch::ArchKind::Lattice3D;
-            else
-                throw FatalError("unknown --arch " + cli.arch);
-            return arch::smallest_arch(kind, problem.num_vertices());
+    try {
+        const graph::Graph problem = core::plan_problem(request);
+        const arch::CouplingGraph device = [&] {
+            if (cli.arch_file.empty())
+                return arch::named_device(request.arch,
+                                          problem.num_vertices());
+            core::PlanRequest couplers;
+            if (!tools::read_edge_file(cli.arch_file, couplers, error))
+                throw FatalError("--arch-file: " + error);
+            const graph::Graph links = core::plan_problem(couplers);
+            return arch::make_custom(links.num_vertices(), links.edges(),
+                                     "custom:" + cli.arch_file);
         }();
 
         std::optional<arch::NoiseModel> noise;
@@ -396,19 +303,14 @@ main(int argc, char** argv)
         // Compile.
         circuit::Circuit circuit;
         std::string selected = cli.compiler;
+        core::CompilerOptions options = core::plan_options(request);
         std::string tier_served = core::tier_name(
-            core::resolve_tier(cli.tier));
+            core::resolve_tier(options.tier));
         core::CompileReport report;
         double seconds = 0.0;
         if (cli.compiler == "ours" || cli.compiler == "greedy") {
-            core::CompilerOptions options;
             options.use_ata_prediction = cli.compiler == "ours";
-            options.alpha = cli.alpha;
-            options.crosstalk_aware = cli.crosstalk;
             options.noise = noise ? &*noise : nullptr;
-            options.shard_regions = cli.shard;
-            options.shard_margin = cli.shard_margin;
-            options.tier = cli.tier;
             auto result = core::compile(device, problem, options);
             circuit = std::move(result.circuit);
             seconds = result.compile_seconds;
@@ -478,7 +380,7 @@ main(int argc, char** argv)
 
         if (!cli.qasm_out.empty()) {
             circuit::QasmOptions qasm;
-            qasm.full_qaoa = cli.full_qaoa;
+            qasm.full_qaoa = request.full_qaoa;
             // Stream straight into the file: the program text is never
             // materialized in memory (it dwarfs the circuit at fabric
             // scale).
@@ -566,8 +468,8 @@ main(int argc, char** argv)
                     static_cast<std::size_t>(cli.sweep_problems) - 1);
                 for (std::int32_t k = 1; k < cli.sweep_problems; ++k)
                     graphs.push_back(problem::random_graph(
-                        problem.num_vertices(), cli.density,
-                        cli.seed + static_cast<std::uint64_t>(k)));
+                        problem.num_vertices(), request.density,
+                        request.seed + static_cast<std::uint64_t>(k)));
                 std::vector<sim::QaoaObjective> contexts;
                 contexts.reserve(graphs.size());
                 for (const auto& g : graphs)
@@ -671,9 +573,9 @@ main(int argc, char** argv)
             auto& mutable_registry = telemetry::Registry::instance();
             mutable_registry.set_export_label("tier", tier_served);
             mutable_registry.set_export_label(
-                "arch", cli.arch_file.empty() ? cli.arch : "custom");
+                "arch", cli.arch_file.empty() ? request.arch : "custom");
             mutable_registry.set_export_label(
-                "shard", std::to_string(cli.shard));
+                "shard", std::to_string(request.shard));
             if (!mutable_registry.write_prometheus(cli.prom_out)) {
                 std::fprintf(stderr, "permuqc: cannot write %s\n",
                              cli.prom_out.c_str());

@@ -104,13 +104,8 @@ main(int argc, char** argv)
         auto is = [&](const char* flag) {
             return std::strcmp(argv[i], flag) == 0;
         };
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "permuqd: %s needs a value\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            return argv[++i];
+        auto value = [&] {
+            return tools::flag_value("permuqd", argc, argv, i);
         };
         if (is("--help")) {
             usage(stdout);
