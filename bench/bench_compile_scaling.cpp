@@ -1,15 +1,13 @@
 /**
  * @file
- * Compile-time scaling benchmark: compares the incremental greedy
- * engine (executable-edge frontier, flat lookup tables, schedule
- * memoization, parallel candidate materialization) against a faithful
- * replica of the pre-rework compiler (hash-map edge/coupler indices,
- * full per-cycle coupler scans, hash-based replay bookkeeping,
- * serial single-start pipeline) on grid, heavy-hex, and Sycamore
- * devices up to 1024 qubits, and reports multi-start thread scaling.
- * The replica is kept frozen so the speedup is measured against
- * exactly what the rework replaced; both compilers must produce
- * bit-identical circuits (verified in-binary by hashing).
+ * Compile-time scaling benchmark: times core::compile at the best tier
+ * on ER problems (density 0.3) on grid, heavy-hex, and Sycamore
+ * devices up to 1024 qubits, and reports multi-start thread scaling
+ * (the result must be bit-identical at one thread and at the full
+ * pool) and the observability tax (bit-identical with telemetry and
+ * debug logging on). The golden hashes in
+ * tests/test_compile_determinism.cpp pin the compiler's output at 64
+ * and 256 qubits on these three device families.
  *
  * A second section measures region-sharded compilation on fabric-scale
  * grids with locality-structured problems (fabric_local_graph):
@@ -39,24 +37,20 @@
  * this section (no JSON output).
  *
  * Emits BENCH_compile.json in the working directory. Pass --smoke to
- * cap the sweep at 256 qubits (CI); the >=3x acceptance gates (legacy
- * vs incremental at 1024, unsharded vs sharded at 4096) apply only to
- * the full run.
+ * cap the sweep at 256 qubits (CI); the >=3x sharded-vs-unsharded gate
+ * at 4096 qubits and the streaming RSS budget apply only to the full
+ * run.
  *
- * Knobs: PERMUQ_COMPILE_REPS (timing repetitions, best-of, default 2),
- * PERMUQ_COMPILE_DENSITY_PCT (ER density in percent, default 30).
+ * Knob: PERMUQ_COMPILE_REPS (timing repetitions, best-of, default 2).
  */
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/resource.h>
@@ -65,6 +59,7 @@
 
 #include "arch/coupling_graph.h"
 #include "bench_util.h"
+#include "circuit/fingerprint.h"
 #include "circuit/metrics.h"
 #include "circuit/qasm.h"
 #include "common/json.h"
@@ -72,11 +67,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/compiler.h"
-#include "core/crosstalk.h"
-#include "core/prediction.h"
 #include "core/shard.h"
-#include "graph/coloring.h"
-#include "graph/matching.h"
 #include "problem/generators.h"
 #include "service/client.h"
 #include "service/plan_cache.h"
@@ -86,703 +77,7 @@
 
 using namespace permuq;
 
-namespace legacy {
-
-/**
- * Frozen replica of the seed's replay loop: per-slot pending lookups
- * through an unordered_map keyed by logical pair.
- */
-circuit::Circuit
-replay(const arch::CouplingGraph& /*device*/, const graph::Graph& problem,
-       const circuit::Mapping& initial, const ata::SwapSchedule& sched,
-       const std::vector<bool>* done)
-{
-    std::unordered_map<VertexPair, bool, VertexPairHash> pending;
-    std::vector<std::int32_t> pending_degree(
-        static_cast<std::size_t>(problem.num_vertices()), 0);
-    std::int64_t remaining = 0;
-    const auto& edges = problem.edges();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (done != nullptr && (*done)[i])
-            continue;
-        pending.emplace(edges[i], true);
-        ++pending_degree[static_cast<std::size_t>(edges[i].a)];
-        ++pending_degree[static_cast<std::size_t>(edges[i].b)];
-        ++remaining;
-    }
-
-    circuit::Circuit circ(initial);
-    for (const auto& slot : sched.slots) {
-        if (remaining == 0)
-            break; // stop_early (the production default)
-        LogicalQubit a = circ.final_mapping().logical_at(slot.p);
-        LogicalQubit b = circ.final_mapping().logical_at(slot.q);
-        if (slot.kind == ata::Slot::Kind::Compute) {
-            if (a == kInvalidQubit || b == kInvalidQubit)
-                continue;
-            auto it = pending.find(VertexPair(a, b));
-            if (it == pending.end() || !it->second)
-                continue;
-            circ.add_compute(slot.p, slot.q);
-            it->second = false;
-            --pending_degree[static_cast<std::size_t>(a)];
-            --pending_degree[static_cast<std::size_t>(b)];
-            --remaining;
-        } else {
-            // skip_dead_swaps (the production default).
-            bool a_dead =
-                a == kInvalidQubit ||
-                pending_degree[static_cast<std::size_t>(a)] == 0;
-            bool b_dead =
-                b == kInvalidQubit ||
-                pending_degree[static_cast<std::size_t>(b)] == 0;
-            if (a_dead && b_dead)
-                continue;
-            circ.add_swap(slot.p, slot.q);
-        }
-    }
-    return circ;
-}
-
-/** Frozen replica of the seed's O(V^2 * deg) placement. */
-circuit::Mapping
-placement(const arch::CouplingGraph& device, const graph::Graph& problem)
-{
-    std::int32_t n = problem.num_vertices();
-    const auto& dist = device.distances();
-
-    std::vector<std::int64_t> closeness(
-        static_cast<std::size_t>(device.num_qubits()), 0);
-    for (std::int32_t p = 0; p < device.num_qubits(); ++p)
-        for (std::int32_t q = 0; q < device.num_qubits(); ++q)
-            closeness[static_cast<std::size_t>(p)] += dist.at(p, q);
-
-    std::vector<PhysicalQubit> phys_of(
-        static_cast<std::size_t>(n), kInvalidQubit);
-    std::vector<bool> pos_used(
-        static_cast<std::size_t>(device.num_qubits()), false);
-    std::vector<bool> placed(static_cast<std::size_t>(n), false);
-
-    auto best_free_central = [&] {
-        PhysicalQubit best = kInvalidQubit;
-        for (std::int32_t p = 0; p < device.num_qubits(); ++p) {
-            if (pos_used[static_cast<std::size_t>(p)])
-                continue;
-            if (best == kInvalidQubit ||
-                device.connectivity().degree(p) >
-                    device.connectivity().degree(best) ||
-                (device.connectivity().degree(p) ==
-                     device.connectivity().degree(best) &&
-                 closeness[static_cast<std::size_t>(p)] <
-                     closeness[static_cast<std::size_t>(best)]))
-                best = p;
-        }
-        return best;
-    };
-
-    for (std::int32_t step = 0; step < n; ++step) {
-        std::int32_t pick = -1, pick_placed = -1;
-        for (std::int32_t v = 0; v < n; ++v) {
-            if (placed[static_cast<std::size_t>(v)])
-                continue;
-            std::int32_t num_placed = 0;
-            for (std::int32_t w : problem.neighbors(v))
-                if (placed[static_cast<std::size_t>(w)])
-                    ++num_placed;
-            if (pick == -1 || num_placed > pick_placed ||
-                (num_placed == pick_placed &&
-                 problem.degree(v) > problem.degree(pick))) {
-                pick = v;
-                pick_placed = num_placed;
-            }
-        }
-        PhysicalQubit where = kInvalidQubit;
-        if (pick_placed == 0) {
-            where = best_free_central();
-        } else {
-            std::int64_t best_sum = -1;
-            for (std::int32_t p = 0; p < device.num_qubits(); ++p) {
-                if (pos_used[static_cast<std::size_t>(p)])
-                    continue;
-                std::int64_t sum = 0;
-                for (std::int32_t w : problem.neighbors(pick))
-                    if (placed[static_cast<std::size_t>(w)])
-                        sum += dist.at(
-                            p, phys_of[static_cast<std::size_t>(w)]);
-                if (best_sum < 0 || sum < best_sum) {
-                    best_sum = sum;
-                    where = p;
-                }
-            }
-        }
-        panic_unless(where != kInvalidQubit, "placement ran out of qubits");
-        phys_of[static_cast<std::size_t>(pick)] = where;
-        pos_used[static_cast<std::size_t>(where)] = true;
-        placed[static_cast<std::size_t>(pick)] = true;
-    }
-    return circuit::Mapping(std::move(phys_of), device.num_qubits());
-}
-
-struct Snapshot
-{
-    std::int64_t prefix_ops = 0;
-    double est_depth = 0.0;
-    double est_cx = 0.0;
-};
-
-/**
- * Frozen replica of the pre-rework greedy engine: edge and coupler
- * hash indices, a full coupler rescan per cycle for executable gates,
- * unordered_map gain accumulation, no frontier, no schedule cache.
- */
-class GreedyEngine
-{
-  public:
-    GreedyEngine(const arch::CouplingGraph& device,
-                 const graph::Graph& problem,
-                 const core::CompilerOptions& options,
-                 const core::CrosstalkMap* crosstalk,
-                 circuit::Mapping initial)
-        : device_(device),
-          problem_(problem),
-          options_(options),
-          crosstalk_(crosstalk),
-          circ_(std::move(initial)),
-          done_(static_cast<std::size_t>(problem.num_edges()), false),
-          pending_deg_(static_cast<std::size_t>(problem.num_vertices()),
-                       0),
-          last_swap_cycle_(device.couplers().size(), -10)
-    {
-        pending_adj_.resize(
-            static_cast<std::size_t>(problem.num_vertices()));
-        for (std::int32_t e = 0; e < problem.num_edges(); ++e) {
-            const auto& edge =
-                problem.edges()[static_cast<std::size_t>(e)];
-            edge_index_.emplace(edge, e);
-            ++pending_deg_[static_cast<std::size_t>(edge.a)];
-            ++pending_deg_[static_cast<std::size_t>(edge.b)];
-            pending_adj_[static_cast<std::size_t>(edge.a)].emplace_back(
-                edge.b, e);
-            pending_adj_[static_cast<std::size_t>(edge.b)].emplace_back(
-                edge.a, e);
-        }
-        pending_ = problem.num_edges();
-        for (std::int32_t c = 0;
-             c < static_cast<std::int32_t>(device.couplers().size()); ++c)
-            coupler_index_.emplace(
-                device.couplers()[static_cast<std::size_t>(c)], c);
-    }
-
-    void
-    run()
-    {
-        std::int64_t max_cycles = static_cast<std::int64_t>(
-            options_.max_cycle_factor *
-                (4.0 * device_.num_qubits() + 64.0) +
-            64.0);
-        std::int64_t snapshot_step = std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(options_.snapshot_fraction *
-                                         problem_.num_edges()));
-        std::int64_t next_snapshot = pending_ - snapshot_step;
-        maybe_snapshot();
-
-        for (std::int64_t cycle = 0; pending_ > 0 && cycle < max_cycles;
-             ++cycle) {
-            bool progress = step(cycle);
-            if (options_.use_ata_prediction && pending_ <= next_snapshot) {
-                maybe_snapshot();
-                next_snapshot = pending_ - snapshot_step;
-            }
-            if (!progress)
-                break;
-        }
-        if (pending_ > 0) {
-            if (device_.kind() == arch::ArchKind::Custom) {
-                route_remaining();
-            } else {
-                auto plan =
-                    core::detect_regions(device_, problem_, done_,
-                                         circ_.final_mapping());
-                auto sched = core::tail_schedule(device_, plan);
-                auto tail = replay(device_, problem_,
-                                   circ_.final_mapping(), sched, &done_);
-                circ_.append_circuit(tail);
-                pending_ = 0;
-            }
-        }
-    }
-
-    const circuit::Circuit& circuit() const { return circ_; }
-    const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-
-  private:
-    void
-    route_remaining()
-    {
-        const auto& dist = device_.distances();
-        for (std::int32_t e = 0; e < problem_.num_edges(); ++e) {
-            if (done_[static_cast<std::size_t>(e)])
-                continue;
-            const auto& edge =
-                problem_.edges()[static_cast<std::size_t>(e)];
-            PhysicalQubit pa = circ_.final_mapping().physical_of(edge.a);
-            PhysicalQubit pb = circ_.final_mapping().physical_of(edge.b);
-            while (dist.at(pa, pb) > 1) {
-                std::int32_t d = dist.at(pa, pb);
-                for (PhysicalQubit nb :
-                     device_.connectivity().neighbors(pa)) {
-                    if (dist.at(nb, pb) < d) {
-                        circ_.add_swap(pa, nb);
-                        pa = nb;
-                        break;
-                    }
-                }
-            }
-            circ_.add_compute(pa, pb);
-            done_[static_cast<std::size_t>(e)] = true;
-            --pending_deg_[static_cast<std::size_t>(edge.a)];
-            --pending_deg_[static_cast<std::size_t>(edge.b)];
-            --pending_;
-        }
-    }
-
-    bool
-    step(std::int64_t cycle)
-    {
-        const auto& mapping = circ_.final_mapping();
-        const auto& couplers = device_.couplers();
-        std::int32_t num_couplers =
-            static_cast<std::int32_t>(couplers.size());
-
-        if (cycle - last_compute_cycle_ > 8) {
-            std::int32_t best_e = -1, best_d = kUnreachable;
-            for (std::int32_t e = 0; e < problem_.num_edges(); ++e) {
-                if (done_[static_cast<std::size_t>(e)])
-                    continue;
-                const auto& edge =
-                    problem_.edges()[static_cast<std::size_t>(e)];
-                std::int32_t d = device_.distances().at(
-                    mapping.physical_of(edge.a),
-                    mapping.physical_of(edge.b));
-                if (d < best_d) {
-                    best_d = d;
-                    best_e = e;
-                }
-            }
-            panic_unless(best_e >= 0, "pending without edges");
-            const auto& edge =
-                problem_.edges()[static_cast<std::size_t>(best_e)];
-            PhysicalQubit pa = mapping.physical_of(edge.a);
-            PhysicalQubit pb = mapping.physical_of(edge.b);
-            while (device_.distances().at(pa, pb) > 1) {
-                std::int32_t d = device_.distances().at(pa, pb);
-                for (PhysicalQubit nb :
-                     device_.connectivity().neighbors(pa)) {
-                    if (device_.distances().at(nb, pb) < d) {
-                        circ_.add_swap(pa, nb);
-                        pa = nb;
-                        break;
-                    }
-                }
-            }
-            circ_.add_compute(pa, pb);
-            done_[static_cast<std::size_t>(best_e)] = true;
-            --pending_deg_[static_cast<std::size_t>(edge.a)];
-            --pending_deg_[static_cast<std::size_t>(edge.b)];
-            --pending_;
-            last_compute_cycle_ = cycle;
-            return true;
-        }
-
-        // Full per-cycle executable scan (the rework's frontier
-        // replaced exactly this loop).
-        struct Executable
-        {
-            std::int32_t coupler;
-            std::int32_t edge;
-        };
-        std::vector<Executable> executable;
-        for (std::int32_t c = 0; c < num_couplers; ++c) {
-            const auto& link = couplers[static_cast<std::size_t>(c)];
-            LogicalQubit a = mapping.logical_at(link.a);
-            LogicalQubit b = mapping.logical_at(link.b);
-            if (a == kInvalidQubit || b == kInvalidQubit)
-                continue;
-            auto it = edge_index_.find(VertexPair(a, b));
-            if (it != edge_index_.end() &&
-                !done_[static_cast<std::size_t>(it->second)])
-                executable.push_back({c, it->second});
-        }
-
-        std::vector<bool> used(
-            static_cast<std::size_t>(device_.num_qubits()), false);
-        bool did_something = false;
-        if (!executable.empty()) {
-            graph::Graph conflict(
-                static_cast<std::int32_t>(executable.size()));
-            std::unordered_map<std::int32_t, std::vector<std::int32_t>>
-                by_qubit;
-            for (std::size_t i = 0; i < executable.size(); ++i) {
-                const auto& link = couplers[static_cast<std::size_t>(
-                    executable[i].coupler)];
-                by_qubit[link.a].push_back(static_cast<std::int32_t>(i));
-                by_qubit[link.b].push_back(static_cast<std::int32_t>(i));
-            }
-            for (const auto& [q, list] : by_qubit)
-                for (std::size_t i = 0; i < list.size(); ++i)
-                    for (std::size_t j = i + 1; j < list.size(); ++j)
-                        if (!conflict.has_edge(list[i], list[j]))
-                            conflict.add_edge(list[i], list[j]);
-            auto coloring = graph::greedy_coloring(conflict);
-            std::int32_t cls = graph::largest_class(coloring);
-            for (std::int32_t i :
-                 coloring.classes[static_cast<std::size_t>(cls)]) {
-                const auto& ex = executable[static_cast<std::size_t>(i)];
-                const auto& link =
-                    couplers[static_cast<std::size_t>(ex.coupler)];
-                circ_.add_compute(link.a, link.b);
-                done_[static_cast<std::size_t>(ex.edge)] = true;
-                const auto& edge =
-                    problem_.edges()[static_cast<std::size_t>(ex.edge)];
-                --pending_deg_[static_cast<std::size_t>(edge.a)];
-                --pending_deg_[static_cast<std::size_t>(edge.b)];
-                --pending_;
-                used[static_cast<std::size_t>(link.a)] = true;
-                used[static_cast<std::size_t>(link.b)] = true;
-                last_compute_cycle_ = cycle;
-                did_something = true;
-                if (swap_rider_gain(edge.a, edge.b) < 0) {
-                    circ_.add_swap(link.a, link.b);
-                    last_swap_cycle_[static_cast<std::size_t>(
-                        ex.coupler)] = cycle;
-                }
-            }
-        }
-        if (pending_ == 0)
-            return did_something;
-
-        const auto& dist = device_.distances();
-        std::unordered_map<std::int32_t, double> gain;
-        if (pull_cache_.empty())
-            pull_cache_.resize(
-                static_cast<std::size_t>(problem_.num_vertices()));
-        for (LogicalQubit a = 0; a < problem_.num_vertices(); ++a) {
-            if (pending_deg_[static_cast<std::size_t>(a)] == 0)
-                continue;
-            PhysicalQubit pa = mapping.physical_of(a);
-            if (used[static_cast<std::size_t>(pa)])
-                continue;
-            auto& cache = pull_cache_[static_cast<std::size_t>(a)];
-            std::int32_t best_d;
-            PhysicalQubit target;
-            if (cache.expires > cycle && cache.partner >= 0 &&
-                !done_[static_cast<std::size_t>(cache.edge)]) {
-                target = mapping.physical_of(cache.partner);
-                best_d = dist.at(pa, target);
-            } else {
-                best_d = kUnreachable;
-                target = kInvalidQubit;
-                LogicalQubit partner = kInvalidQubit;
-                std::int32_t edge = -1;
-                for (const auto& [b, e] :
-                     pending_adj_[static_cast<std::size_t>(a)]) {
-                    if (done_[static_cast<std::size_t>(e)])
-                        continue;
-                    std::int32_t d = dist.at(pa, mapping.physical_of(b));
-                    if (d < best_d) {
-                        best_d = d;
-                        target = mapping.physical_of(b);
-                        partner = b;
-                        edge = e;
-                    }
-                }
-                cache.partner = partner;
-                cache.edge = edge;
-                cache.expires =
-                    cycle + 1 + problem_.num_vertices() / 128;
-            }
-            if (best_d <= 1 || target == kInvalidQubit)
-                continue;
-            for (PhysicalQubit nb :
-                 device_.connectivity().neighbors(pa)) {
-                if (used[static_cast<std::size_t>(nb)])
-                    continue;
-                if (dist.at(nb, target) >= best_d)
-                    continue;
-                auto it = coupler_index_.find(VertexPair(pa, nb));
-                panic_unless(it != coupler_index_.end(),
-                             "neighbor without coupler");
-                if (last_swap_cycle_[static_cast<std::size_t>(
-                        it->second)] == cycle - 1)
-                    continue;
-                double w = 1.0 / static_cast<double>(best_d);
-                w *= 1.0 + 1e-7 * static_cast<double>(it->second % 97);
-                gain[it->second] += w;
-            }
-        }
-
-        std::vector<graph::WeightedEdge> candidates;
-        std::vector<std::int32_t> candidate_coupler;
-        for (const auto& [c, w] : gain) {
-            const auto& link =
-                device_.couplers()[static_cast<std::size_t>(c)];
-            candidates.push_back({link.a, link.b, w});
-            candidate_coupler.push_back(c);
-        }
-        auto picks = graph::greedy_max_weight_matching(
-            device_.num_qubits(), candidates);
-        for (std::int32_t i : picks) {
-            const auto& cand = candidates[static_cast<std::size_t>(i)];
-            circ_.add_swap(cand.u, cand.v);
-            last_swap_cycle_[static_cast<std::size_t>(
-                candidate_coupler[static_cast<std::size_t>(i)])] = cycle;
-            did_something = true;
-        }
-
-        if (!did_something && pending_ > 0) {
-            std::int32_t best_e = -1, best_d = kUnreachable;
-            for (std::int32_t e = 0; e < problem_.num_edges(); ++e) {
-                if (done_[static_cast<std::size_t>(e)])
-                    continue;
-                const auto& edge =
-                    problem_.edges()[static_cast<std::size_t>(e)];
-                std::int32_t d = dist.at(mapping.physical_of(edge.a),
-                                         mapping.physical_of(edge.b));
-                if (d < best_d) {
-                    best_d = d;
-                    best_e = e;
-                }
-            }
-            panic_unless(best_e >= 0, "pending without edges");
-            const auto& edge =
-                problem_.edges()[static_cast<std::size_t>(best_e)];
-            PhysicalQubit pa = mapping.physical_of(edge.a);
-            PhysicalQubit pb = mapping.physical_of(edge.b);
-            for (PhysicalQubit nb :
-                 device_.connectivity().neighbors(pa)) {
-                if (dist.at(nb, pb) < best_d) {
-                    circ_.add_swap(pa, nb);
-                    did_something = true;
-                    break;
-                }
-            }
-        }
-        return did_something;
-    }
-
-    std::int64_t
-    swap_rider_gain(LogicalQubit a, LogicalQubit b) const
-    {
-        const auto& mapping = circ_.final_mapping();
-        const auto& dist = device_.distances();
-        PhysicalQubit pa = mapping.physical_of(a);
-        PhysicalQubit pb = mapping.physical_of(b);
-        std::int64_t delta = 0;
-        auto tally = [&](LogicalQubit q, PhysicalQubit from,
-                         PhysicalQubit to) {
-            for (const auto& [partner, e] :
-                 pending_adj_[static_cast<std::size_t>(q)]) {
-                if (done_[static_cast<std::size_t>(e)])
-                    continue;
-                PhysicalQubit pp = mapping.physical_of(partner);
-                delta += dist.at(to, pp) - dist.at(from, pp);
-            }
-        };
-        tally(a, pa, pb);
-        tally(b, pb, pa);
-        return delta;
-    }
-
-    void
-    maybe_snapshot()
-    {
-        if (!options_.use_ata_prediction)
-            return;
-        auto plan = core::detect_regions(device_, problem_, done_,
-                                         circ_.final_mapping());
-        Snapshot snap;
-        snap.prefix_ops = static_cast<std::int64_t>(circ_.ops().size());
-        snap.est_depth = static_cast<double>(circ_.depth()) +
-                         core::estimate_tail_depth(device_, plan);
-        snap.est_cx =
-            2.0 * static_cast<double>(circ_.num_compute()) +
-            3.0 * static_cast<double>(circ_.num_swaps()) +
-            core::estimate_tail_cx(device_, plan, pending_);
-        snapshots_.push_back(snap);
-    }
-
-    const arch::CouplingGraph& device_;
-    const graph::Graph& problem_;
-    const core::CompilerOptions& options_;
-    const core::CrosstalkMap* crosstalk_;
-    circuit::Circuit circ_;
-    std::vector<bool> done_;
-    std::vector<std::int32_t> pending_deg_;
-    std::vector<std::vector<std::pair<LogicalQubit, std::int32_t>>>
-        pending_adj_;
-    std::vector<std::int64_t> last_swap_cycle_;
-    std::unordered_map<VertexPair, std::int32_t, VertexPairHash>
-        edge_index_;
-    std::unordered_map<VertexPair, std::int32_t, VertexPairHash>
-        coupler_index_;
-    struct PullCache
-    {
-        LogicalQubit partner = kInvalidQubit;
-        std::int32_t edge = -1;
-        std::int64_t expires = -1;
-    };
-    std::vector<PullCache> pull_cache_;
-    std::int64_t pending_ = 0;
-    std::int64_t last_compute_cycle_ = 0;
-    std::vector<Snapshot> snapshots_;
-};
-
-circuit::Circuit
-materialize_hybrid(const arch::CouplingGraph& device,
-                   const graph::Graph& problem,
-                   const circuit::Circuit& greedy,
-                   std::int64_t prefix_ops)
-{
-    circuit::Circuit circ(greedy.initial_mapping());
-    std::vector<bool> done(static_cast<std::size_t>(problem.num_edges()),
-                           false);
-    std::unordered_map<VertexPair, std::int32_t, VertexPairHash>
-        edge_index;
-    for (std::int32_t e = 0; e < problem.num_edges(); ++e)
-        edge_index.emplace(problem.edges()[static_cast<std::size_t>(e)],
-                           e);
-    for (std::int64_t i = 0; i < prefix_ops; ++i) {
-        const auto& op = greedy.ops()[static_cast<std::size_t>(i)];
-        if (op.kind == circuit::OpKind::Compute) {
-            circ.add_compute(op.p, op.q);
-            auto it = edge_index.find(VertexPair(op.a, op.b));
-            panic_unless(it != edge_index.end(),
-                         "prefix compute on unknown edge");
-            done[static_cast<std::size_t>(it->second)] = true;
-        } else {
-            circ.add_swap(op.p, op.q);
-        }
-    }
-    auto plan =
-        core::detect_regions(device, problem, done, circ.final_mapping());
-    auto sched = core::tail_schedule(device, plan);
-    auto tail =
-        replay(device, problem, circ.final_mapping(), sched, &done);
-    circ.append_circuit(tail);
-    return circ;
-}
-
-/** Frozen replica of the pre-rework serial single-start compile(). */
-core::CompileResult
-compile(const arch::CouplingGraph& device, const graph::Graph& problem,
-        const core::CompilerOptions& options_in)
-{
-    core::CompileResult result;
-    core::CompilerOptions options = options_in;
-    if (device.kind() == arch::ArchKind::Custom &&
-        options.use_ata_prediction)
-        options.use_ata_prediction = false;
-
-    std::unique_ptr<core::CrosstalkMap> crosstalk;
-    if (options.crosstalk_aware)
-        crosstalk = std::make_unique<core::CrosstalkMap>(device);
-
-    circuit::Mapping initial =
-        options.smart_placement
-            ? placement(device, problem)
-            : circuit::Mapping(problem.num_vertices(),
-                               device.num_qubits());
-    GreedyEngine engine(device, problem, options, crosstalk.get(),
-                        std::move(initial));
-    engine.run();
-    const circuit::Circuit& greedy = engine.circuit();
-    auto greedy_metrics = circuit::compute_metrics(greedy, options.noise);
-
-    result.circuit = greedy;
-    result.metrics = greedy_metrics;
-    result.selected = "greedy";
-    result.snapshots =
-        static_cast<std::int32_t>(engine.snapshots().size());
-
-    if (options.use_ata_prediction && problem.num_edges() > 0) {
-        std::vector<std::size_t> order(engine.snapshots().size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        double ref_depth = std::max<double>(1.0, greedy_metrics.depth);
-        double ref_cx = std::max<double>(1.0, greedy_metrics.cx_count);
-        auto est_cost = [&](const Snapshot& s) {
-            return options.alpha * s.est_depth / ref_depth +
-                   (1.0 - options.alpha) * s.est_cx / ref_cx;
-        };
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return est_cost(engine.snapshots()[a]) <
-                                    est_cost(engine.snapshots()[b]);
-                         });
-
-        std::vector<std::int64_t> to_materialize = {0};
-        for (std::size_t i = 0;
-             i < order.size() &&
-             static_cast<std::int32_t>(to_materialize.size()) <
-                 options.max_materialized_candidates;
-             ++i) {
-            std::int64_t prefix =
-                engine.snapshots()[order[i]].prefix_ops;
-            if (std::find(to_materialize.begin(), to_materialize.end(),
-                          prefix) == to_materialize.end())
-                to_materialize.push_back(prefix);
-        }
-
-        double best_cost =
-            core::selector_cost(greedy_metrics, greedy_metrics,
-                                options.noise, options.alpha);
-        for (std::int64_t prefix : to_materialize) {
-            auto candidate =
-                materialize_hybrid(device, problem, greedy, prefix);
-            auto metrics =
-                circuit::compute_metrics(candidate, options.noise);
-            double cost = core::selector_cost(metrics, greedy_metrics,
-                                              options.noise, options.alpha);
-            if (cost < best_cost) {
-                best_cost = cost;
-                result.circuit = std::move(candidate);
-                result.metrics = metrics;
-                result.selected = prefix == 0 ? "ata" : "hybrid";
-            }
-        }
-    }
-    return result;
-}
-
-} // namespace legacy
-
 namespace {
-
-std::uint64_t
-circuit_hash(const circuit::Circuit& c)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
-    for (const auto& op : c.ops()) {
-        mix(static_cast<std::uint64_t>(op.kind));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.p)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.q)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.b)));
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(op.cycle)));
-    }
-    mix(static_cast<std::uint64_t>(c.depth()));
-    mix(static_cast<std::uint64_t>(c.num_compute()));
-    mix(static_cast<std::uint64_t>(c.num_swaps()));
-    for (std::int32_t l = 0; l < c.final_mapping().num_logical(); ++l)
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(c.final_mapping().physical_of(l))));
-    return h;
-}
 
 std::int32_t
 env_int(const char* name, std::int32_t fallback)
@@ -801,9 +96,7 @@ struct Row
     std::int32_t requested = 0;
     std::int32_t qubits = 0;
     std::int32_t edges = 0;
-    double legacy_seconds = 0.0;
-    double new_seconds = 0.0;
-    bool hash_match = false;
+    double seconds = 0.0;
 };
 
 struct FabricRow
@@ -961,9 +254,9 @@ run_tier_section(bool smoke, std::int32_t reps,
                 auto r1 = core::compile(device, problem, options);
                 common::set_num_threads(4);
                 auto r4 = core::compile(device, problem, options);
-                thread_identical =
-                    thread_identical &&
-                    circuit_hash(r1.circuit) == circuit_hash(r4.circuit);
+                thread_identical = thread_identical &&
+                                   circuit::fingerprint(r1.circuit) ==
+                                       circuit::fingerprint(r4.circuit);
             }
             common::set_num_threads(hw_threads);
             gates.verified = gates.verified && verified;
@@ -1286,14 +579,13 @@ main(int argc, char** argv)
     }
 
     const std::int32_t reps = env_int("PERMUQ_COMPILE_REPS", 2);
-    const double density =
-        env_int("PERMUQ_COMPILE_DENSITY_PCT", 30) / 100.0;
+    constexpr double density = 0.3;
     const std::int32_t hw_threads = common::num_threads();
 
     if (tiers_only) {
         // Targeted CI invocation: only the tier latency/quality gates,
-        // no legacy replica or fabric sweep and no JSON (the default
-        // and --smoke runs emit the tiers rows into BENCH_compile.json).
+        // no scaling or fabric sweep and no JSON (the default and
+        // --smoke runs emit the tiers rows into BENCH_compile.json).
         bench::banner("compile-time scaling", "interactive tiers only");
         std::vector<TierRow> tier_rows;
         TierGates gates = run_tier_section(smoke, reps, tier_rows);
@@ -1359,47 +651,29 @@ main(int argc, char** argv)
 
     std::printf("density=%.2f reps=%d threads=%d\n\n", density, reps,
                 hw_threads);
-    std::printf("| %-9s | %6s | %6s | %7s | %10s | %10s | %8s |\n",
-                "arch", "req n", "qubits", "edges", "legacy s",
-                "new s", "speedup");
+    std::printf("| %-9s | %6s | %6s | %7s | %10s |\n", "arch", "req n",
+                "qubits", "edges", "seconds");
 
     std::vector<Row> rows;
-    bool all_match = true;
-    double speedup_1024 = 0.0; // min across archs at the largest size
     for (auto kind : kinds) {
         for (std::int32_t n : sizes) {
             arch::CouplingGraph device = arch::smallest_arch(kind, n);
             auto problem = problem::random_graph(device.num_qubits(),
                                                  density, 12345);
             core::CompilerOptions options;
+            options.tier = core::CompileTier::Best;
 
             Row row;
             row.arch = arch::to_string(kind);
             row.requested = n;
             row.qubits = device.num_qubits();
             row.edges = problem.num_edges();
-
-            std::uint64_t legacy_hash = 0, new_hash = 0;
-            row.legacy_seconds = time_best(reps, [&] {
-                auto r = legacy::compile(device, problem, options);
-                legacy_hash = circuit_hash(r.circuit);
+            row.seconds = time_best(reps, [&] {
+                (void)core::compile(device, problem, options);
             });
-            row.new_seconds = time_best(reps, [&] {
-                auto r = core::compile(device, problem, options);
-                new_hash = circuit_hash(r.circuit);
-            });
-            row.hash_match = legacy_hash == new_hash;
-            all_match = all_match && row.hash_match;
-            double speedup = row.legacy_seconds / row.new_seconds;
-            if (!smoke && n == 1024)
-                speedup_1024 = speedup_1024 == 0.0
-                                   ? speedup
-                                   : std::min(speedup_1024, speedup);
-            std::printf(
-                "| %-9s | %6d | %6d | %7d | %10.3f | %10.3f | %7.2fx |%s\n",
-                row.arch.c_str(), row.requested, row.qubits, row.edges,
-                row.legacy_seconds, row.new_seconds, speedup,
-                row.hash_match ? "" : "  HASH MISMATCH");
+            std::printf("| %-9s | %6d | %6d | %7d | %10.3f |\n",
+                        row.arch.c_str(), row.requested, row.qubits,
+                        row.edges, row.seconds);
             rows.push_back(row);
         }
     }
@@ -1417,15 +691,14 @@ main(int argc, char** argv)
     common::set_num_threads(1);
     double ms_serial = time_best(reps, [&] {
         auto r = core::compile(ms_device, ms_problem, ms_options);
-        ms_hash1 = circuit_hash(r.circuit);
+        ms_hash1 = circuit::fingerprint(r.circuit);
     });
     common::set_num_threads(hw_threads);
     double ms_parallel = time_best(reps, [&] {
         auto r = core::compile(ms_device, ms_problem, ms_options);
-        ms_hashN = circuit_hash(r.circuit);
+        ms_hashN = circuit::fingerprint(r.circuit);
     });
-    bool ms_match = ms_hash1 == ms_hashN;
-    all_match = all_match && ms_match;
+    const bool ms_match = ms_hash1 == ms_hashN;
     std::printf("\nmulti-start (8 trials, heavy-hex 256): "
                 "1 thr %.3f s, %d thr %.3f s (%.2fx, identical: %s)\n",
                 ms_serial, hw_threads, ms_parallel,
@@ -1446,14 +719,14 @@ main(int argc, char** argv)
         logging::set_level(logging::Level::Off);
         double off = time_best(reps, [&] {
             auto r = core::compile(ms_device, ms_problem, obs_options);
-            obs_off_hash = circuit_hash(r.circuit);
+            obs_off_hash = circuit::fingerprint(r.circuit);
         });
         telemetry::set_enabled(true);
         logging::set_level(logging::Level::Debug);
         logging::set_sink_file("/dev/null");
         double on = time_best(reps, [&] {
             auto r = core::compile(ms_device, ms_problem, obs_options);
-            obs_on_hash = circuit_hash(r.circuit);
+            obs_on_hash = circuit::fingerprint(r.circuit);
         });
         logging::flush();
         logging::set_sink_stderr();
@@ -1476,15 +749,10 @@ main(int argc, char** argv)
         measure_obs();
     const double obs_ratio = obs_on_seconds / obs_off_seconds;
     const bool obs_match = obs_off_hash == obs_on_hash;
-    all_match = all_match && obs_match;
     std::printf("telemetry overhead (heavy-hex 256): off %.3f s, "
                 "on %.3f s (%.3fx, budget %.2fx, identical: %s)\n",
                 obs_off_seconds, obs_on_seconds, obs_ratio,
                 kObsBudgetRatio, obs_match ? "yes" : "NO");
-    if (!smoke)
-        std::printf("speedup at 1024 qubits (min over archs): %.2fx "
-                    "(need >= 3x)\n",
-                    speedup_1024);
 
     // Region-sharded fabric scaling: locality-structured problems on
     // square grids, one band per 8 rows. Unsharded compilation builds
@@ -1518,12 +786,12 @@ main(int argc, char** argv)
         common::set_num_threads(1);
         row.sharded_seconds = time_best(reps, [&] {
             auto r = core::compile(device, problem, sharded_options);
-            hash_thr1 = circuit_hash(r.circuit);
+            hash_thr1 = circuit::fingerprint(r.circuit);
         });
         common::set_num_threads(4);
         {
             auto r = core::compile(device, problem, sharded_options);
-            hash_thr4 = circuit_hash(r.circuit);
+            hash_thr4 = circuit::fingerprint(r.circuit);
         }
         common::set_num_threads(hw_threads);
         row.thread_identical = hash_thr1 == hash_thr4;
@@ -1558,6 +826,7 @@ main(int argc, char** argv)
     if (!smoke)
         std::printf("sharded speedup at 4096 qubits: %.2fx (need >= 3x)\n",
                     fabric_speedup_4096);
+    const bool all_match = ms_match && obs_match && fabric_identical;
 
     std::vector<TierRow> tier_rows;
     TierGates tier_gates = run_tier_section(smoke, reps, tier_rows);
@@ -1579,13 +848,8 @@ main(int argc, char** argv)
             std::fprintf(
                 json,
                 "    {\"arch\": \"%s\", \"requested_n\": %d, "
-                "\"qubits\": %d, \"edges\": %d, "
-                "\"legacy_seconds\": %.6f, \"new_seconds\": %.6f, "
-                "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                r.arch.c_str(), r.requested, r.qubits, r.edges,
-                r.legacy_seconds, r.new_seconds,
-                r.legacy_seconds / r.new_seconds,
-                r.hash_match ? "true" : "false",
+                "\"qubits\": %d, \"edges\": %d, \"seconds\": %.6f}%s\n",
+                r.arch.c_str(), r.requested, r.qubits, r.edges, r.seconds,
                 i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(json,
@@ -1688,32 +952,29 @@ main(int argc, char** argv)
         else
             std::fprintf(json, "  \"service\": null,\n");
         std::fprintf(json,
-                     "  \"speedup_1024_min\": %.3f,\n"
                      "  \"fabric_speedup_4096\": %.3f,\n"
                      "  \"tiers_fast_ms_256\": %.3f,\n"
                      "  \"tiers_speedup_sycamore_256\": %.3f,\n"
                      "  \"tiers_worst_depth_ratio\": %.3f,\n"
                      "  \"all_bit_identical\": %s\n"
                      "}\n",
-                     speedup_1024, fabric_speedup_4096,
+                     fabric_speedup_4096,
                      tier_gates.fast_ms_256,
                      tier_gates.speedup_sycamore_256,
                      tier_gates.worst_depth_ratio,
-                     all_match && fabric_identical ? "true" : "false");
+                     all_match ? "true" : "false");
         std::fclose(json);
         std::printf("wrote BENCH_compile.json\n");
     }
     bench::write_metrics_sidecar("compile_scaling");
 
-    if (!all_match || !fabric_identical)
+    if (!all_match)
         return 1;
     if (obs_ratio > kObsBudgetRatio)
         return 1;
     if (!tier_gates.ok())
         return 1;
     if (!service.ok())
-        return 1;
-    if (!smoke && speedup_1024 < 3.0)
         return 1;
     if (!smoke && fabric_speedup_4096 < 3.0)
         return 1;

@@ -1,21 +1,11 @@
 /**
  * @file
- * Simulator engine scaling benchmark: compares the rewritten
- * statevector engine (compact block iteration + diagonal-gate fusion +
- * thread pool + CDF sampling) against a faithful replica of the seed's
- * scalar skip-scan kernels on a >=20-qubit QAOA expectation
- * evaluation, and reports serial-vs-parallel and fused-vs-unfused
- * throughput. Emits BENCH_sim.json next to the binary's working
- * directory for the driver to pick up.
- *
- * Also runs the objective-loop mode: a p=2 Nelder–Mead run whose
- * objective is evaluated (a) the pre-amortization mainline way — cost
- * batch, cut spectrum, and state rebuilt per call, per-qubit mixer
- * sweeps, scalar kernel tier — and (b) through one reused
- * QaoaObjective on the active SIMD tier with the blocked mixer. The
- * ratio is the headline amortization+SIMD win, and the mode
- * cross-checks that expectation values are bit-identical across SIMD
- * tiers and thread counts.
+ * Simulator engine scaling benchmark: times a 2-layer QAOA expectation
+ * evaluation (default 20 qubits) through the fused engine at the full
+ * thread pool and at one thread, against the same circuit as per-gate
+ * RZZ sweeps with fusion off, and 8192-shot sampling by linear scan
+ * against the CDF sampler. The fused and unfused expectations must
+ * agree to 1e-6. Emits BENCH_sim.json in the working directory.
  *
  * Always records the per-stage ledger (JSON "stages"), at one thread
  * and fixed sizes: the fused spectrum's key build at 20 qubits and one
@@ -26,9 +16,7 @@
  * apply_rx passes on the same state, which host drift cannot move.
  *
  * Knobs: PERMUQ_SIM_N (qubits, default 20), PERMUQ_SIM_REPS
- * (timing repetitions, best-of, default 3), PERMUQ_SIM_OBJ_N
- * (objective-loop qubits, default 22), PERMUQ_SIM_OBJ_ITERS
- * (objective evaluations per run, default 200).
+ * (timing repetitions, best-of, default 3).
  */
 #include <algorithm>
 #include <cmath>
@@ -36,8 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "arch/coupling_graph.h"
@@ -48,7 +34,6 @@
 #include "core/compiler.h"
 #include "problem/generators.h"
 #include "sim/diagonal.h"
-#include "sim/nelder_mead.h"
 #include "sim/qaoa.h"
 #include "sim/qaoa_objective.h"
 #include "sim/simd.h"
@@ -59,120 +44,8 @@ using namespace permuq;
 
 namespace {
 
-/**
- * Replica of the seed's scalar statevector path: every kernel
- * skip-scans the full 2^n index range, sampling is a linear scan per
- * shot. Kept verbatim (modulo the class name) so the speedup below is
- * measured against exactly what the engine replaced.
- */
-class SeedScalarSim
-{
-  public:
-    using Amplitude = std::complex<double>;
-
-    explicit SeedScalarSim(std::int32_t num_qubits)
-    {
-        amp_.assign(std::size_t(1) << num_qubits, Amplitude(0.0, 0.0));
-        amp_[0] = Amplitude(1.0, 0.0);
-    }
-
-    void
-    apply_h(std::int32_t q)
-    {
-        const std::size_t bit = std::size_t(1) << q;
-        const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-        for (std::size_t i = 0; i < amp_.size(); ++i) {
-            if (i & bit)
-                continue;
-            Amplitude a0 = amp_[i];
-            Amplitude a1 = amp_[i | bit];
-            amp_[i] = inv_sqrt2 * (a0 + a1);
-            amp_[i | bit] = inv_sqrt2 * (a0 - a1);
-        }
-    }
-
-    void
-    apply_rx(std::int32_t q, double theta)
-    {
-        const std::size_t bit = std::size_t(1) << q;
-        const double c = std::cos(theta / 2.0);
-        const Amplitude ms(0.0, -std::sin(theta / 2.0));
-        for (std::size_t i = 0; i < amp_.size(); ++i) {
-            if (i & bit)
-                continue;
-            Amplitude a0 = amp_[i];
-            Amplitude a1 = amp_[i | bit];
-            amp_[i] = c * a0 + ms * a1;
-            amp_[i | bit] = ms * a0 + c * a1;
-        }
-    }
-
-    void
-    apply_rzz(std::int32_t a, std::int32_t b, double theta)
-    {
-        const std::size_t abit = std::size_t(1) << a;
-        const std::size_t bbit = std::size_t(1) << b;
-        const Amplitude same = std::polar(1.0, -theta / 2.0);
-        const Amplitude diff = std::polar(1.0, theta / 2.0);
-        for (std::size_t i = 0; i < amp_.size(); ++i) {
-            bool za = (i & abit) != 0;
-            bool zb = (i & bbit) != 0;
-            amp_[i] *= (za == zb) ? same : diff;
-        }
-    }
-
-    std::vector<double>
-    probabilities() const
-    {
-        std::vector<double> p(amp_.size());
-        for (std::size_t i = 0; i < amp_.size(); ++i)
-            p[i] = std::norm(amp_[i]);
-        return p;
-    }
-
-    /** Seed sampler: O(2^n) linear scan per shot. */
-    std::uint64_t
-    sample(Xoshiro256& rng) const
-    {
-        double r = rng.next_double();
-        double acc = 0.0;
-        for (std::size_t i = 0; i < amp_.size(); ++i) {
-            acc += std::norm(amp_[i]);
-            if (r < acc)
-                return i;
-        }
-        return amp_.size() - 1;
-    }
-
-  private:
-    std::vector<Amplitude> amp_;
-};
-
-/** The seed's ideal_expectation, on the scalar replica. */
-double
-seed_ideal_expectation(const graph::Graph& problem,
-                       const sim::QaoaAngles& angles)
-{
-    std::int32_t n = problem.num_vertices();
-    SeedScalarSim sv(n);
-    for (std::int32_t q = 0; q < n; ++q)
-        sv.apply_h(q);
-    for (std::size_t layer = 0; layer < angles.gamma.size(); ++layer) {
-        for (const auto& e : problem.edges())
-            sv.apply_rzz(e.a, e.b, -angles.gamma[layer]);
-        for (std::int32_t q = 0; q < n; ++q)
-            sv.apply_rx(q, 2.0 * angles.beta[layer]);
-    }
-    auto p = sv.probabilities();
-    double sum = 0.0;
-    for (std::size_t z = 0; z < p.size(); ++z)
-        if (p[z] > 0.0)
-            sum += p[z] * sim::cut_value(problem, z);
-    return sum;
-}
-
-/** New engine, fusion off: per-gate RZZ sweeps on the compact-block
- *  kernels. Isolates the fusion win from the iteration-space win. */
+/** The same evaluation with fusion off: per-gate RZZ sweeps on the
+ *  compact-block kernels, and the reference the fused <C> must match. */
 double
 unfused_ideal_expectation(const graph::Graph& problem,
                           const sim::QaoaAngles& angles)
@@ -195,44 +68,6 @@ unfused_ideal_expectation(const graph::Graph& problem,
             for (std::size_t z = b; z < e; ++z)
                 s += std::norm(amp[z]) *
                      sim::cut_value(problem, static_cast<std::uint64_t>(z));
-            return s;
-        });
-}
-
-/**
- * Replica of the mainline (pre-amortization) objective evaluation:
- * every call reallocates the state, rebuilds the cost batch, re-bakes
- * the 2^n cut spectrum, and sweeps the mixer one qubit at a time. The
- * caller forces the scalar kernel tier for the duration, standing in
- * for the scalar std::complex kernels this PR replaced.
- */
-double
-mainline_ideal_expectation(const graph::Graph& problem,
-                           const sim::QaoaAngles& angles)
-{
-    const std::int32_t n = problem.num_vertices();
-    sim::Statevector sv(n);
-    for (std::int32_t q = 0; q < n; ++q)
-        sv.apply_h(q);
-    sim::DiagonalBatch cost;
-    for (const auto& e : problem.edges())
-        cost.add_rzz(e.a, e.b, 1.0);
-    auto spectrum = cost.bake(n);
-    const double offset =
-        static_cast<double>(problem.edges().size()) / 2.0;
-    for (std::size_t layer = 0; layer < angles.gamma.size(); ++layer) {
-        cost.apply(sv, -angles.gamma[layer]);
-        for (std::int32_t q = 0; q < n; ++q)
-            sv.apply_rx(q, 2.0 * angles.beta[layer]);
-    }
-    const auto& amp = sv.amplitudes();
-    const double* table = spectrum.data();
-    return common::parallel_reduce_sum<double>(
-        0, amp.size(), std::size_t(1) << 12,
-        [&](std::size_t b, std::size_t e) {
-            double s = 0.0;
-            for (std::size_t z = b; z < e; ++z)
-                s += std::norm(amp[z]) * (table[z] + offset);
             return s;
         });
 }
@@ -496,20 +331,14 @@ main()
     std::printf("n=%d edges=%d layers=%zu threads=%d reps=%d\n\n", n,
                 edges, angles.gamma.size(), hw_threads, reps);
 
-    // 1. Seed scalar path (the baseline every speedup is against).
-    auto [seed_s, seed_e] = time_best(
-        reps, [&] { return seed_ideal_expectation(problem, angles); });
-    std::printf("seed scalar path:        %7.3f s  <C>=%.6f\n", seed_s,
-                seed_e);
-
-    // 2. New engine, fused, all threads.
+    // 1. Fused engine, all threads.
     common::set_num_threads(hw_threads);
     auto [fused_s, fused_e] = time_best(
         reps, [&] { return sim::ideal_expectation(problem, angles); });
     std::printf("engine fused  (%2d thr):  %7.3f s  <C>=%.6f\n",
                 hw_threads, fused_s, fused_e);
 
-    // 3. New engine, fused, one thread (isolates algorithmic wins).
+    // 2. Fused engine, one thread.
     common::set_num_threads(1);
     auto [serial_s, serial_e] = time_best(
         reps, [&] { return sim::ideal_expectation(problem, angles); });
@@ -517,13 +346,13 @@ main()
     std::printf("engine fused  ( 1 thr):  %7.3f s  <C>=%.6f\n", serial_s,
                 serial_e);
 
-    // 4. New engine, fusion off (per-gate compact-block sweeps).
+    // 3. Fusion off (per-gate compact-block sweeps).
     auto [unfused_s, unfused_e] = time_best(
         reps, [&] { return unfused_ideal_expectation(problem, angles); });
     std::printf("engine unfused (%2d thr): %7.3f s  <C>=%.6f\n",
                 hw_threads, unfused_s, unfused_e);
 
-    // 5. Sampling: linear scan per shot vs one-time CDF + binary search.
+    // 4. Sampling: linear scan per shot vs one-time CDF + binary search.
     sim::Statevector sv(n);
     for (std::int32_t q = 0; q < n; ++q)
         sv.apply_h(q);
@@ -551,107 +380,19 @@ main()
     std::printf("%d shots linear scan:  %7.3f s\n", shots, linear_s);
     std::printf("%d shots CDF sampler:  %7.3f s\n\n", shots, cdf_s);
 
-    const double speedup = seed_s / fused_s;
     const double fusion_speedup = unfused_s / fused_s;
     const double thread_speedup = serial_s / fused_s;
     const double sample_speedup = linear_s / cdf_s;
-    const double max_err = std::max(
-        {std::abs(seed_e - fused_e), std::abs(seed_e - serial_e),
-         std::abs(seed_e - unfused_e)});
-    std::printf("speedup vs seed scalar:  %6.2fx  (need >= 2x)\n",
-                speedup);
+    const double max_err = std::max(std::abs(fused_e - unfused_e),
+                                    std::abs(serial_e - unfused_e));
     std::printf("fusion speedup:          %6.2fx\n", fusion_speedup);
     std::printf("thread speedup:          %6.2fx\n", thread_speedup);
     std::printf("sampling speedup:        %6.2fx\n", sample_speedup);
-    std::printf("max |<C> - seed <C>|:    %.2e  (samplers agree: %s)\n",
+    std::printf("max |<C> - unfused <C>|: %.2e  (need < 1e-6, samplers "
+                "agree: %s)\n",
                 max_err, linear_chk == cdf_chk ? "yes" : "NO");
 
-    // 6. Objective-loop mode: a p=2 Nelder–Mead run, mainline per-eval
-    // rebuild on the scalar tier vs one reused QaoaObjective on the
-    // active tier.
-    const std::int32_t obj_n = env_int("PERMUQ_SIM_OBJ_N", 22);
-    const std::int32_t obj_iters = env_int("PERMUQ_SIM_OBJ_ITERS", 200);
-    auto obj_problem = problem::random_graph(obj_n, 0.3, 5);
-    const sim::SimdTier best_tier = sim::active_simd_tier();
-    std::printf("\nobjective loop: n=%d p=2 evals=%d tier=%s\n", obj_n,
-                obj_iters, sim::simd_tier_name(best_tier));
-
-    auto run_loop = [&](const std::function<
-                        double(const sim::QaoaAngles&)>& expectation) {
-        auto f = [&](const std::vector<double>& x) {
-            sim::QaoaAngles a{{x[0], x[1]}, {x[2], x[3]}};
-            return -expectation(a);
-        };
-        return sim::nelder_mead(f, {0.3, 0.5, 0.2, 0.1}, 0.4,
-                                obj_iters);
-    };
-
-    sim::set_simd_tier(sim::SimdTier::Scalar);
-    auto [main_best, main_s] = bench::timed_call([&] {
-        return run_loop([&](const sim::QaoaAngles& a) {
-            return mainline_ideal_expectation(obj_problem, a);
-        }).best_f;
-    });
-    sim::set_simd_tier(best_tier);
-    std::printf("mainline per-eval rebuild: %7.3f s  best -E=%.6f\n",
-                main_s, main_best);
-
-    sim::QaoaObjective context(obj_problem);
-    auto [amort_best, amort_s] = bench::timed_call([&] {
-        return run_loop([&](const sim::QaoaAngles& a) {
-            return context.ideal_expectation(a);
-        }).best_f;
-    });
-    std::printf("amortized objective:       %7.3f s  best -E=%.6f\n",
-                amort_s, amort_best);
-
-    // Bit-identity across SIMD tiers and thread counts, and reused
-    // context vs a fresh one; plus mainline-vs-amortized agreement at
-    // fixed angles (different reduction shapes, so tolerance not bits).
-    bool bit_identical = true;
-    double cross_err = 0.0;
-    const sim::QaoaAngles probes[] = {
-        {{0.4, 0.7}, {0.35, 0.2}},
-        {{1.1, -0.3}, {0.9, 0.45}},
-    };
-    for (const auto& a : probes) {
-        double ref = 0.0;
-        bool first = true;
-        for (sim::SimdTier tier :
-             {sim::SimdTier::Scalar, best_tier}) {
-            sim::set_simd_tier(tier);
-            for (std::int32_t threads : {1, hw_threads}) {
-                common::set_num_threads(threads);
-                double v = context.ideal_expectation(a);
-                if (first) {
-                    ref = v;
-                    first = false;
-                } else {
-                    bit_identical =
-                        bit_identical && bits_equal(ref, v);
-                }
-            }
-        }
-        sim::set_simd_tier(best_tier);
-        common::set_num_threads(hw_threads);
-        bit_identical =
-            bit_identical &&
-            bits_equal(ref, sim::QaoaObjective(obj_problem)
-                                .ideal_expectation(a));
-        sim::set_simd_tier(sim::SimdTier::Scalar);
-        double main_v = mainline_ideal_expectation(obj_problem, a);
-        sim::set_simd_tier(best_tier);
-        cross_err = std::max(cross_err, std::abs(main_v - ref));
-    }
-
-    const double obj_speedup = main_s / amort_s;
-    std::printf("objective speedup:       %6.2fx  (need >= 1.8x)\n",
-                obj_speedup);
-    std::printf("bit-identical across tiers/threads: %s  "
-                "(mainline cross-check err %.2e)\n",
-                bit_identical ? "yes" : "NO", cross_err);
-
-    // 7. Per-stage ledger.
+    // 5. Per-stage ledger.
     const StageBench stages = run_stage_bench(reps, hw_threads);
 
     std::FILE* json = std::fopen("BENCH_sim.json", "w");
@@ -664,27 +405,17 @@ main()
             "  \"layers\": %zu,\n"
             "  \"threads\": %d,\n"
             "  \"shots\": %d,\n"
-            "  \"seed_scalar_seconds\": %.6f,\n"
             "  \"fused_parallel_seconds\": %.6f,\n"
             "  \"fused_serial_seconds\": %.6f,\n"
             "  \"unfused_parallel_seconds\": %.6f,\n"
             "  \"linear_sampling_seconds\": %.6f,\n"
             "  \"cdf_sampling_seconds\": %.6f,\n"
-            "  \"speedup_vs_seed\": %.3f,\n"
             "  \"fusion_speedup\": %.3f,\n"
             "  \"thread_speedup\": %.3f,\n"
             "  \"sampling_speedup\": %.3f,\n"
             "  \"expectation_max_abs_err\": %.3e,\n"
             "  \"samplers_agree\": %s,\n"
             "  \"simd_tier\": \"%s\",\n"
-            "  \"objective_n\": %d,\n"
-            "  \"objective_layers\": 2,\n"
-            "  \"objective_evals\": %d,\n"
-            "  \"objective_mainline_seconds\": %.6f,\n"
-            "  \"objective_amortized_seconds\": %.6f,\n"
-            "  \"objective_speedup\": %.3f,\n"
-            "  \"objective_bit_identical\": %s,\n"
-            "  \"objective_cross_check_err\": %.3e,\n"
             "  \"stages\": {\n"
             "    \"threads\": 1,\n"
             "    \"spectrum_n\": %d,\n"
@@ -714,13 +445,12 @@ main()
             "    \"mixer15_ratio_min\": %.2f\n"
             "  }\n"
             "}\n",
-            n, edges, angles.gamma.size(), hw_threads, shots, seed_s,
-            fused_s, serial_s, unfused_s, linear_s, cdf_s, speedup,
-            fusion_speedup, thread_speedup, sample_speedup, max_err,
+            n, edges, angles.gamma.size(), hw_threads, shots, fused_s,
+            serial_s, unfused_s, linear_s, cdf_s, fusion_speedup,
+            thread_speedup, sample_speedup, max_err,
             linear_chk == cdf_chk ? "true" : "false",
-            sim::simd_tier_name(best_tier), obj_n, obj_iters, main_s,
-            amort_s, obj_speedup, bit_identical ? "true" : "false",
-            cross_err, stages.spectrum_n, stages.spectrum_terms,
+            sim::simd_tier_name(sim::active_simd_tier()),
+            stages.spectrum_n, stages.spectrum_terms,
             stages.spectrum_build_ms, stages.spectrum_build_budget_ms,
             stages.noisy_n, stages.noisy_trajectories, stages.noisy_shots,
             stages.noisy_evals, stages.noisy_eval_ms,
@@ -738,8 +468,5 @@ main()
     }
     bench::write_metrics_sidecar("sim_scaling");
     std::printf("stage gates: %s\n", stages.pass() ? "PASS" : "FAIL");
-    const bool pass = speedup >= 2.0 && max_err < 1e-6 &&
-                      obj_speedup >= 1.8 && bit_identical &&
-                      cross_err < 1e-6 && stages.pass();
-    return pass ? 0 : 1;
+    return max_err < 1e-6 && stages.pass() ? 0 : 1;
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Bit-identity guarantees of the compiler after the incremental-engine
- * rework: golden circuit hashes frozen from the pre-rework
- * implementation, invariance of the output under the worker thread
- * count (the parallel candidate materialization and multi-start
+ * rework: golden circuit hashes (circuit::fingerprint) frozen from the
+ * pre-rework implementation, invariance of the output under the worker
+ * thread count (the parallel candidate materialization and multi-start
  * fan-out must not leak scheduling order into the result), determinism
  * of the multi-start winner, and the shared shortest-path walk being
  * swap-for-swap identical to the routine it replaced.
@@ -14,6 +14,7 @@
 
 #include "arch/coupling_graph.h"
 #include "arch/noise_model.h"
+#include "circuit/fingerprint.h"
 #include "common/parallel.h"
 #include "core/compiler.h"
 #include "graph/routing.h"
@@ -21,32 +22,6 @@
 
 namespace permuq {
 namespace {
-
-std::uint64_t
-circuit_hash(const circuit::Circuit& c)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
-    for (const auto& op : c.ops()) {
-        mix(static_cast<std::uint64_t>(op.kind));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.p)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.q)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.b)));
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(op.cycle)));
-    }
-    mix(static_cast<std::uint64_t>(c.depth()));
-    mix(static_cast<std::uint64_t>(c.num_compute()));
-    mix(static_cast<std::uint64_t>(c.num_swaps()));
-    for (std::int32_t l = 0; l < c.final_mapping().num_logical(); ++l)
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(c.final_mapping().physical_of(l))));
-    return h;
-}
 
 arch::CouplingGraph
 ring_with_chords()
@@ -71,9 +46,12 @@ struct GoldenCase
     std::uint64_t hash;
 };
 
-// Frozen from the implementation as of PR 1 (hash-map indices, full
+// Frozen from the pre-rework implementation (hash-map indices, full
 // per-cycle coupler scans, serial single-start pipeline). The reworked
-// engine must reproduce these outputs bit for bit.
+// engine must reproduce these outputs bit for bit. The last six rows
+// are the sizes bench_compile_scaling times (density 0.3, seed 12345);
+// at 256 qubits they reach the pull cache's multi-cycle reuse, which
+// the smaller rows above never do.
 const GoldenCase kGolden[] = {
     {arch::ArchKind::HeavyHex, 32, 0.3, 17, false, false,
      0x2bf117cd5e38403aull},
@@ -93,6 +71,18 @@ const GoldenCase kGolden[] = {
      0x9e3c04f9262ba47cull},
     {arch::ArchKind::Custom, 0, 0.0, 0, false, false,
      0x640245cc9244b2d6ull},
+    {arch::ArchKind::Grid, 64, 0.3, 12345, false, false,
+     0x5e285620dafb4bf8ull},
+    {arch::ArchKind::Grid, 256, 0.3, 12345, false, false,
+     0x09cc8af33bb6181eull},
+    {arch::ArchKind::HeavyHex, 64, 0.3, 12345, false, false,
+     0x1cdc0a6895bfcaa6ull},
+    {arch::ArchKind::HeavyHex, 256, 0.3, 12345, false, false,
+     0x2c0fca1960f47ac6ull},
+    {arch::ArchKind::Sycamore, 64, 0.3, 12345, false, false,
+     0x50e6791b52130bc0ull},
+    {arch::ArchKind::Sycamore, 256, 0.3, 12345, false, false,
+     0x8e21a1cd918f9816ull},
 };
 
 std::uint64_t
@@ -113,7 +103,7 @@ compile_case_hash(const GoldenCase& c, std::int32_t trials)
     if (c.noise)
         options.noise = &noise;
     auto result = core::compile(device, problem, options);
-    return circuit_hash(result.circuit);
+    return circuit::fingerprint(result.circuit);
 }
 
 TEST(CompileDeterminismTest, MatchesPreReworkGoldenHashes)

@@ -6,8 +6,9 @@
  * bitwise identity of amplitudes across SIMD tiers and thread counts;
  * the register-blocked mixer vs sequential per-qubit RX on every tier
  * and at chunk-splitting thread counts; Pauli-Y as an exact
- * swap-with-sign; QaoaObjective vs the one-shot free functions over
- * random angle sets; and the exact memory estimates.
+ * swap-with-sign; a whole ideal QAOA evaluation against the dense
+ * reference; QaoaObjective vs the one-shot free functions over random
+ * angle sets; and the exact memory estimates.
  */
 #include <gtest/gtest.h>
 
@@ -487,6 +488,38 @@ TEST(QaoaObjectiveTest, IdealExpectationBitIdenticalAcrossTiers)
     double vec4 = QaoaObjective(problem).ideal_expectation(angles);
     EXPECT_TRUE(std::memcmp(&scalar1, &scalar4, sizeof(double)) == 0);
     EXPECT_TRUE(std::memcmp(&scalar1, &vec4, sizeof(double)) == 0);
+}
+
+TEST(QaoaObjectiveTest, IdealExpectationMatchesDenseReference)
+{
+    // The whole p=2 evaluation (fused cost phase, blocked mixer, cut
+    // reduction) against the textbook circuit on the dense reference:
+    // H on every qubit, then per layer RZZ(-gamma) on every edge and
+    // RX(2 beta) on every qubit, and <C> = sum |a_z|^2 cut(z).
+    const std::int32_t n = 12;
+    auto problem = problem::random_graph(n, 0.3, 5);
+    const QaoaAngles angle_sets[] = {
+        {{0.4, 0.7}, {0.35, 0.2}},
+        {{1.1, -0.3}, {0.9, 0.45}},
+    };
+    for (const auto& angles : angle_sets) {
+        DenseRef ref(n);
+        for (std::int32_t q = 0; q < n; ++q)
+            ref.h(q);
+        for (std::size_t layer = 0; layer < angles.gamma.size(); ++layer) {
+            for (const auto& e : problem.edges())
+                ref.rzz(e.a, e.b, -angles.gamma[layer]);
+            for (std::int32_t q = 0; q < n; ++q)
+                ref.rx(q, 2.0 * angles.beta[layer]);
+        }
+        double want = 0.0;
+        const auto& amp = ref.amplitudes();
+        for (std::size_t z = 0; z < amp.size(); ++z)
+            want += std::norm(amp[z]) *
+                    static_cast<double>(cut_value(problem, z));
+        EXPECT_NEAR(ideal_expectation(problem, angles), want, 1e-9)
+            << "gamma " << angles.gamma[0] << ", " << angles.gamma[1];
+    }
 }
 
 TEST(QaoaObjectiveTest, CutLookupMatchesEdgeScan)

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arch/coupling_graph.h"
+#include "circuit/fingerprint.h"
 #include "circuit/metrics.h"
 #include "circuit/op_arena.h"
 #include "circuit/qasm.h"
@@ -28,27 +29,6 @@
 
 namespace permuq {
 namespace {
-
-std::uint64_t
-circuit_hash(const circuit::Circuit& c)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
-    for (const auto& op : c.ops()) {
-        mix(static_cast<std::uint64_t>(op.kind));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.p)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.q)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.b)));
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(op.cycle)));
-    }
-    mix(static_cast<std::uint64_t>(c.depth()));
-    return h;
-}
 
 // ---------------------------------------------------------------- plan
 
@@ -214,7 +194,8 @@ TEST(ShardCompile, FallsBackOnUnshardableDevice)
     core::CompilerOptions off;
     auto a = core::compile(device, problem, sharded);
     auto b = core::compile(device, problem, off);
-    EXPECT_EQ(circuit_hash(a.circuit), circuit_hash(b.circuit));
+    EXPECT_EQ(circuit::fingerprint(a.circuit),
+              circuit::fingerprint(b.circuit));
     EXPECT_NE(a.selected, "sharded");
 }
 
@@ -234,9 +215,10 @@ TEST(ShardCompile, DeterministicAcrossThreadCountsAndReruns)
     auto parallel2 = core::compile(device, problem, options);
     common::set_num_threads(saved);
 
-    EXPECT_EQ(circuit_hash(serial.circuit), circuit_hash(parallel.circuit));
-    EXPECT_EQ(circuit_hash(parallel.circuit),
-              circuit_hash(parallel2.circuit));
+    EXPECT_EQ(circuit::fingerprint(serial.circuit),
+              circuit::fingerprint(parallel.circuit));
+    EXPECT_EQ(circuit::fingerprint(parallel.circuit),
+              circuit::fingerprint(parallel2.circuit));
 }
 
 TEST(ShardCompile, ReportAttributesBandsAndStitch)

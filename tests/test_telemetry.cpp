@@ -271,8 +271,13 @@ TEST_F(TelemetryTest, PrometheusTextFormatAndLabels)
               std::string::npos);
     EXPECT_NE(text.find("permuq_test_prom_hist_sum"),
               std::string::npos);
-    // Cumulative buckets: the +Inf bucket equals the sample count.
-    const auto inf_pos = text.find("le=\"+Inf\"");
+    // Cumulative buckets: this histogram's +Inf bucket equals its
+    // sample count. Earlier tests leave other (reset) histograms in the
+    // registry, so look the bucket up by this histogram's name.
+    const auto bucket_pos = text.find("permuq_test_prom_hist_bucket");
+    ASSERT_NE(bucket_pos, std::string::npos);
+    const auto inf_pos = text.find("le=\"+Inf\"", bucket_pos);
+    ASSERT_NE(inf_pos, std::string::npos);
     const auto value_pos = text.find("} ", inf_pos);
     ASSERT_NE(value_pos, std::string::npos);
     EXPECT_EQ(std::atoll(text.c_str() + value_pos + 2), 3);

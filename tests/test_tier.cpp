@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "arch/coupling_graph.h"
+#include "circuit/fingerprint.h"
 #include "common/parallel.h"
 #include "common/telemetry/telemetry.h"
 #include "common/vecops.h"
@@ -36,32 +37,6 @@ namespace {
 namespace vecops = common::vecops;
 
 std::uint64_t
-circuit_hash(const circuit::Circuit& c)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
-    for (const auto& op : c.ops()) {
-        mix(static_cast<std::uint64_t>(op.kind));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.p)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.q)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)));
-        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.b)));
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(op.cycle)));
-    }
-    mix(static_cast<std::uint64_t>(c.depth()));
-    mix(static_cast<std::uint64_t>(c.num_compute()));
-    mix(static_cast<std::uint64_t>(c.num_swaps()));
-    for (std::int32_t l = 0; l < c.final_mapping().num_logical(); ++l)
-        mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(c.final_mapping().physical_of(l))));
-    return h;
-}
-
-std::uint64_t
 compile_hash(arch::ArchKind kind, std::int32_t n, double density,
              std::uint64_t seed, core::CompileTier tier)
 {
@@ -70,7 +45,7 @@ compile_hash(arch::ArchKind kind, std::int32_t n, double density,
     core::CompilerOptions options;
     options.tier = tier;
     auto result = core::compile(device, problem, options);
-    return circuit_hash(result.circuit);
+    return circuit::fingerprint(result.circuit);
 }
 
 /** RAII guard: sets PERMUQ_TIER for one scope, restores on exit. */
@@ -256,8 +231,8 @@ TEST(TierTest, FastFallsBackToBalancedOnCustomDevices)
     // Same circuit as asking for balanced directly.
     options.tier = core::CompileTier::Balanced;
     auto balanced = core::compile(device, problem, options);
-    EXPECT_EQ(circuit_hash(result.circuit),
-              circuit_hash(balanced.circuit));
+    EXPECT_EQ(circuit::fingerprint(result.circuit),
+              circuit::fingerprint(balanced.circuit));
 }
 
 TEST(TierTest, FastDepthWithinQualityBound)
