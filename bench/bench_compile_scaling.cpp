@@ -13,8 +13,9 @@
  * grids with locality-structured problems (fabric_local_graph):
  * sharded vs unsharded wall time at 1024/4096 qubits, sharded-only
  * completion at 16384, bit-identical output across thread counts, and
- * (full runs only) a 102400-qubit streaming-QASM compile whose peak
- * RSS must stay inside the documented 512 MiB budget.
+ * (full runs only) a 102400-qubit sharded compile at 4 threads, its
+ * QASM written through QasmProgram, whose peak RSS must stay inside
+ * the documented 512 MiB budget.
  *
  * A third section sweeps the interactive tier dial (fast/balanced/
  * best) on 3-regular QAOA instances at 128/256/512 qubits on grid and
@@ -38,8 +39,8 @@
  *
  * Emits BENCH_compile.json in the working directory. Pass --smoke to
  * cap the sweep at 256 qubits (CI); the >=3x sharded-vs-unsharded gate
- * at 4096 qubits and the streaming RSS budget apply only to the full
- * run.
+ * at 4096 qubits and the 102400-qubit RSS budget apply only to the
+ * full run.
  *
  * Knob: PERMUQ_COMPILE_REPS (timing repetitions, best-of, default 2).
  */
@@ -50,6 +51,7 @@
 #include <exception>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -67,7 +69,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/compiler.h"
-#include "core/shard.h"
 #include "problem/generators.h"
 #include "service/client.h"
 #include "service/plan_cache.h"
@@ -115,6 +116,62 @@ peak_rss_kib()
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     return usage.ru_maxrss;
+}
+
+/** Peak-RSS budget of the 102400-qubit compile (EXPERIMENTS.md). */
+constexpr long kFabric100kRssBudgetKib = 512 * 1024;
+
+/** The full run's 102400-qubit sharded compile. */
+struct Fabric100k
+{
+    std::int32_t regions = 0;
+    double seconds = 0.0;
+    std::int64_t total_ops = 0;
+    std::int64_t stitched_edges = 0;
+    std::size_t circuit_bytes = 0;
+    long peak_rss_kib = 0;
+};
+
+/**
+ * 102400 qubits in 80 bands through core::compile, the QASM written
+ * through QasmProgram to /dev/null; the time covers both. Four threads
+ * are pinned because up to four bands compile at once, so the peak RSS
+ * would otherwise grow with the host's core count. Runs before any
+ * other compile: ru_maxrss is a process-lifetime high-water mark.
+ */
+Fabric100k
+run_fabric_100k()
+{
+    const arch::CouplingGraph device = arch::make_grid(320, 320);
+    const auto problem = problem::fabric_local_graph(320, 320, 0.3, 1, 99);
+    core::CompilerOptions options;
+    options.shard_regions = 80;
+    const int threads = common::num_threads();
+    common::set_num_threads(4);
+    Fabric100k out;
+    Timer timer;
+    const auto result = core::compile(device, problem, options);
+    std::ofstream sink("/dev/null");
+    circuit::QasmProgram(result.circuit)
+        .write([&sink](std::string_view block) {
+            sink.write(block.data(),
+                       static_cast<std::streamsize>(block.size()));
+        });
+    out.seconds = timer.elapsed_seconds();
+    out.peak_rss_kib = peak_rss_kib();
+    common::set_num_threads(threads);
+    out.regions = result.report.shard_regions;
+    out.total_ops = static_cast<std::int64_t>(result.circuit.ops().size());
+    out.stitched_edges = result.report.stitched_edges;
+    out.circuit_bytes = result.circuit.memory_bytes();
+    std::printf("102400-qubit sharded compile (4 threads): %.1f s, "
+                "%lld ops, %d regions, %lld stitched edges, "
+                "circuit %.1f MiB, peak RSS %ld MiB (budget %ld MiB)\n\n",
+                out.seconds, static_cast<long long>(out.total_ops),
+                out.regions, static_cast<long long>(out.stitched_edges),
+                static_cast<double>(out.circuit_bytes) / (1024.0 * 1024.0),
+                out.peak_rss_kib / 1024, kFabric100kRssBudgetKib / 1024);
+    return out;
 }
 
 // ------------------------------------------------- interactive tiers
@@ -604,43 +661,10 @@ main(int argc, char** argv)
                   smoke ? "incremental engine (smoke)"
                         : "incremental engine");
 
-    // Fabric-scale streaming compile (full runs only): 102400 qubits,
-    // QASM streamed band-by-band to a sink so no materialized circuit
-    // or dense distance table ever exists. Runs FIRST because
-    // ru_maxrss is a process-lifetime high-water mark -- any earlier
-    // unsharded compile would mask the streaming footprint. The
-    // 512 MiB peak-RSS budget is the documented bound
-    // (EXPERIMENTS.md); measured usage is ~120 MiB, most of it the
-    // coupling graph and the per-band circuits.
-    constexpr long kStreamRssBudgetKib = 512 * 1024;
-    double stream_seconds = 0.0;
-    long stream_rss_kib = 0;
-    core::ShardStreamResult stream;
-    if (!smoke) {
-        arch::CouplingGraph device = arch::make_grid(320, 320);
-        auto problem = problem::fabric_local_graph(320, 320, 0.3, 1, 99);
-        core::CompilerOptions options;
-        options.shard_regions = 80;
-        std::ofstream sink("/dev/null");
-        circuit::QasmStreamWriter writer(sink, circuit::QasmOptions{});
-        Timer timer;
-        stream = core::shard_compile_stream(device, problem, options,
-                                            writer);
-        stream_seconds = timer.elapsed_seconds();
-        stream_rss_kib = peak_rss_kib();
-        std::printf("streaming 102400-qubit compile: %.1f s, "
-                    "%lld ops, %d regions, %lld stitched edges, "
-                    "peak circuit %.1f MiB, peak RSS %ld MiB "
-                    "(budget %ld MiB)\n\n",
-                    stream_seconds,
-                    static_cast<long long>(stream.total_ops),
-                    stream.regions,
-                    static_cast<long long>(stream.stitched_edges),
-                    static_cast<double>(stream.peak_circuit_bytes) /
-                        (1024.0 * 1024.0),
-                    stream_rss_kib / 1024,
-                    kStreamRssBudgetKib / 1024);
-    }
+    // Fabric-scale compile (full runs only), first for its peak RSS.
+    Fabric100k fabric_100k;
+    if (!smoke)
+        fabric_100k = run_fabric_100k();
 
     const arch::ArchKind kinds[] = {arch::ArchKind::Grid,
                                     arch::ArchKind::HeavyHex,
@@ -911,21 +935,21 @@ main(int argc, char** argv)
         }
         std::fprintf(json, "  ],\n");
         if (smoke)
-            std::fprintf(json, "  \"stream_100k\": null,\n");
+            std::fprintf(json, "  \"fabric_100k\": null,\n");
         else
             std::fprintf(json,
-                         "  \"stream_100k\": {\"qubits\": 102400, "
+                         "  \"fabric_100k\": {\"qubits\": 102400, "
                          "\"regions\": %d, \"seconds\": %.3f, "
                          "\"total_ops\": %lld, "
                          "\"stitched_edges\": %lld, "
-                         "\"peak_circuit_bytes\": %lld, "
+                         "\"circuit_bytes\": %zu, "
                          "\"peak_rss_kib\": %ld, "
                          "\"rss_budget_kib\": %ld},\n",
-                         stream.regions, stream_seconds,
-                         static_cast<long long>(stream.total_ops),
-                         static_cast<long long>(stream.stitched_edges),
-                         static_cast<long long>(stream.peak_circuit_bytes),
-                         stream_rss_kib, kStreamRssBudgetKib);
+                         fabric_100k.regions, fabric_100k.seconds,
+                         static_cast<long long>(fabric_100k.total_ops),
+                         static_cast<long long>(fabric_100k.stitched_edges),
+                         fabric_100k.circuit_bytes,
+                         fabric_100k.peak_rss_kib, kFabric100kRssBudgetKib);
         if (service.ran)
             std::fprintf(json,
                          "  \"service\": {\"qubits\": %d, "
@@ -978,7 +1002,7 @@ main(int argc, char** argv)
         return 1;
     if (!smoke && fabric_speedup_4096 < 3.0)
         return 1;
-    if (!smoke && stream_rss_kib > kStreamRssBudgetKib)
+    if (!smoke && fabric_100k.peak_rss_kib > kFabric100kRssBudgetKib)
         return 1;
     return 0;
 }

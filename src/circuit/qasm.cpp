@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <ostream>
+#include <memory>
 #include <sstream>
 
 #include "circuit/metrics.h"
@@ -134,8 +134,8 @@ class BlockOut
         std::size_t size;
     };
 
-    BlockOut(QasmSink sink, std::size_t capacity)
-        : sink_(std::move(sink)), block_(new char[capacity + kPieceBytes]),
+    BlockOut(const QasmSink& sink, std::size_t capacity)
+        : sink_(sink), block_(new char[capacity + kPieceBytes]),
           pos_(block_.get()), end_(block_.get() + capacity)
     {
     }
@@ -175,7 +175,7 @@ class BlockOut
     }
 
   private:
-    QasmSink sink_;
+    const QasmSink& sink_;
     std::unique_ptr<char[]> block_;
     char* pos_;
     char* end_;
@@ -219,18 +219,46 @@ emit_cx(Out& out, const Tokens& t, const typename Out::Id& a,
     out.put(t.end);
 }
 
+/**
+ * How each op of @p circ is written: as itself, or, when
+ * @p merge_pairs, a compute and a swap on one pair as one Merged step
+ * whose partner is skipped. A template because Step is private to
+ * QasmProgram.
+ */
+template <class Step>
+std::vector<Step>
+lower(const Circuit& circ, bool merge_pairs)
+{
+    const auto& ops = circ.ops();
+    std::vector<Step> steps;
+    steps.reserve(ops.size());
+    for (const ScheduledOp& op : ops)
+        steps.push_back(op.kind == OpKind::Compute ? Step::Compute
+                                                   : Step::Swap);
+    if (!merge_pairs)
+        return steps;
+    const auto partner = merge_partner(circ);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        if (steps[i] == Step::Skip || partner[i] < 0)
+            continue;
+        steps[i] = Step::Merged;
+        steps[static_cast<std::size_t>(partner[i])] = Step::Skip;
+    }
+    return steps;
+}
+
 template <class Out, class Step>
 void
-emit_ops(Out& out, const Tokens& t, const Circuit& fragment,
-         const std::vector<Step>& steps, std::int32_t offset)
+emit_ops(Out& out, const Tokens& t, const Circuit& circ,
+         const std::vector<Step>& steps)
 {
     std::size_t i = 0;
-    for (const ScheduledOp& op : fragment.ops()) {
+    for (const ScheduledOp& op : circ.ops()) {
         const Step step = steps[i++];
         if (step == Step::Skip)
             continue;
-        const typename Out::Id p(op.p + offset);
-        const typename Out::Id q(op.q + offset);
+        const typename Out::Id p(op.p);
+        const typename Out::Id q(op.q);
         out.reserve(t.max_step);
         emit_cx(out, t, p, q);
         if (step != Step::Swap) {
@@ -268,107 +296,23 @@ emit_footer(Out& out, const Tokens& t, const Mapping& final_mapping,
 
 } // namespace
 
-struct QasmStreamWriter::Emitter
+enum class QasmProgram::Step : std::uint8_t
 {
-    Emitter(QasmSink sink, const QasmOptions& options, QasmEncoder encoder)
-        : tokens(options, encoder),
-          out(std::move(sink), std::max(kBlockBytes, tokens.max_step))
-    {
-    }
-
-    Tokens tokens;
-    BlockOut out;
+    Skip, ///< merged into an earlier op
+    Compute,
+    Swap,
+    Merged, ///< a compute and a swap on one pair, as 3 CX
 };
-
-QasmStreamWriter::QasmStreamWriter(std::ostream& out,
-                                   const QasmOptions& options)
-    : QasmStreamWriter(
-          [&out](std::string_view block) {
-              out.write(block.data(),
-                        static_cast<std::streamsize>(block.size()));
-          },
-          options)
-{
-    out_ = &out;
-}
-
-QasmStreamWriter::QasmStreamWriter(QasmSink sink,
-                                   const QasmOptions& options,
-                                   QasmEncoder encoder)
-    : options_(options),
-      emitter_(std::make_unique<Emitter>(std::move(sink), options, encoder))
-{
-}
-
-QasmStreamWriter::~QasmStreamWriter() = default;
-
-void
-QasmStreamWriter::begin(const Mapping& initial)
-{
-    fatal_unless(!begun_, "QasmStreamWriter::begin called twice");
-    begun_ = true;
-    emit_header(emitter_->out, emitter_->tokens, initial,
-                options_.full_qaoa);
-}
-
-std::vector<QasmStreamWriter::Step>
-QasmStreamWriter::lower(const Circuit& fragment, bool merge_pairs)
-{
-    const auto& ops = fragment.ops();
-    std::vector<Step> steps;
-    steps.reserve(ops.size());
-    for (const ScheduledOp& op : ops)
-        steps.push_back(op.kind == OpKind::Compute ? Step::Compute
-                                                   : Step::Swap);
-    if (!merge_pairs)
-        return steps;
-    const auto partner = merge_partner(fragment);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        if (steps[i] == Step::Skip || partner[i] < 0)
-            continue;
-        steps[i] = Step::Merged;
-        steps[static_cast<std::size_t>(partner[i])] = Step::Skip;
-    }
-    return steps;
-}
-
-void
-QasmStreamWriter::emit(const Circuit& fragment,
-                       const std::vector<Step>& steps, std::int32_t offset)
-{
-    fatal_unless(begun_ && !finished_,
-                 "QasmStreamWriter::chunk outside begin/finish");
-    emit_ops(emitter_->out, emitter_->tokens, fragment, steps, offset);
-}
-
-void
-QasmStreamWriter::chunk(const Circuit& fragment, std::int32_t offset)
-{
-    emit(fragment, lower(fragment, options_.merge_pairs), offset);
-}
-
-void
-QasmStreamWriter::finish(const Mapping& final_mapping)
-{
-    fatal_unless(begun_ && !finished_,
-                 "QasmStreamWriter::finish outside begin");
-    finished_ = true;
-    emit_footer(emitter_->out, emitter_->tokens, final_mapping,
-                options_.full_qaoa);
-    emitter_->out.flush();
-    if (out_ != nullptr)
-        out_->flush();
-}
 
 QasmProgram::QasmProgram(const Circuit& circ, const QasmOptions& options,
                          QasmEncoder encoder)
     : circ_(circ), options_(options), encoder_(encoder),
-      steps_(QasmStreamWriter::lower(circ, options.merge_pairs))
+      steps_(lower<Step>(circ, options.merge_pairs))
 {
     const Tokens tokens(options, encoder);
     Counter count;
     emit_header(count, tokens, circ.initial_mapping(), options.full_qaoa);
-    emit_ops(count, tokens, circ, steps_, 0);
+    emit_ops(count, tokens, circ, steps_);
     emit_footer(count, tokens, circ.final_mapping(), options.full_qaoa);
     size_ = count.bytes;
 }
@@ -376,10 +320,12 @@ QasmProgram::QasmProgram(const Circuit& circ, const QasmOptions& options,
 void
 QasmProgram::write(const QasmSink& sink) const
 {
-    QasmStreamWriter writer(sink, options_, encoder_);
-    writer.begin(circ_.initial_mapping());
-    writer.emit(circ_, steps_, 0);
-    writer.finish(circ_.final_mapping());
+    const Tokens tokens(options_, encoder_);
+    BlockOut out(sink, std::max(kBlockBytes, tokens.max_step));
+    emit_header(out, tokens, circ_.initial_mapping(), options_.full_qaoa);
+    emit_ops(out, tokens, circ_, steps_);
+    emit_footer(out, tokens, circ_.final_mapping(), options_.full_qaoa);
+    out.flush();
 }
 
 std::string

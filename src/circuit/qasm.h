@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,78 +58,13 @@ using QasmEncoder = void (*)(std::string& out, std::string_view text);
 std::string to_qasm(const Circuit& circ, const QasmOptions& options = {});
 
 /**
- * The one QASM writer. The program is written in chunks as parts of
- * the compilation complete, so a fabric-scale (100k-qubit) compile
- * never materializes the whole program text, or even the whole
- * circuit, in memory. Text is formatted into fixed-size blocks and
- * handed to a sink a block at a time: qubit ids are formatted by hand,
- * and each angle once, exactly as a default std::ostream prints it.
- *
- * Protocol: begin(global initial mapping), then chunk() once per
- * circuit fragment in program order, then finish(global final
- * mapping). CPHASE+SWAP pair merging is chunk-local (a merge never
- * spans a chunk boundary); the sharded compiler's canonical QASM is
- * defined as one chunk per region plus one stitch chunk, and a
- * single-chunk emission is byte-identical to to_qasm().
- */
-class QasmStreamWriter
-{
-  public:
-    /** Write into @p out, which must outlive the writer. */
-    explicit QasmStreamWriter(std::ostream& out,
-                              const QasmOptions& options = {});
-
-    /** Hand the text to @p sink, passed through @p encoder if given. */
-    QasmStreamWriter(QasmSink sink, const QasmOptions& options = {},
-                     QasmEncoder encoder = nullptr);
-
-    ~QasmStreamWriter();
-
-    /** Emit the header (and the |+> prelude when full_qaoa). */
-    void begin(const Mapping& initial);
-
-    /**
-     * Lower and emit all ops of @p fragment, shifting every physical
-     * qubit id by @p offset (region chunks are compiled in a local id
-     * space; contiguous banding makes the translation a single add).
-     */
-    void chunk(const Circuit& fragment, std::int32_t offset = 0);
-
-    /** Emit the RX mixer + measurements (full_qaoa) and flush. */
-    void finish(const Mapping& final_mapping);
-
-    const QasmOptions& options() const { return options_; }
-
-  private:
-    friend class QasmProgram;
-    struct Emitter;
-
-    /** How each op of a chunk is written (see QasmProgram). */
-    enum class Step : std::uint8_t
-    {
-        Skip, ///< merged into an earlier op
-        Compute,
-        Swap,
-        Merged, ///< a compute and a swap on one pair, as 3 CX
-    };
-
-    static std::vector<Step> lower(const Circuit& fragment,
-                                   bool merge_pairs);
-    void emit(const Circuit& fragment, const std::vector<Step>& steps,
-              std::int32_t offset);
-
-    QasmOptions options_;
-    std::unique_ptr<Emitter> emitter_;
-    std::ostream* out_ = nullptr;
-    bool begun_ = false;
-    bool finished_ = false;
-};
-
-/**
- * The whole program of one circuit (begin, one chunk, finish), lowered
- * once, so its exact size is known before a byte is written: callers
- * size their buffer or refuse an oversized result up front. to_qasm()
- * and the compile service's plan fragments write through it.
+ * The one QASM writer: the whole program of one circuit, lowered once,
+ * so its exact size is known before a byte is written — callers size
+ * their buffer or refuse an oversized result up front. Text is
+ * formatted into fixed-size blocks and handed to a sink a block at a
+ * time: qubit ids are formatted by hand, and each angle once, exactly
+ * as a default std::ostream prints it. to_qasm(), permuqc --qasm and
+ * the compile service's plan fragments all write through it.
  */
 class QasmProgram
 {
@@ -150,10 +83,13 @@ class QasmProgram
     void write(const QasmSink& sink) const;
 
   private:
+    /** How each op is written (defined in qasm.cpp). */
+    enum class Step : std::uint8_t;
+
     const Circuit& circ_;
     QasmOptions options_;
     QasmEncoder encoder_;
-    std::vector<QasmStreamWriter::Step> steps_;
+    std::vector<Step> steps_;
     std::size_t size_ = 0;
 };
 

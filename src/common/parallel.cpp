@@ -270,8 +270,6 @@ struct TaskQueue::Impl
     std::condition_variable idle_cv; ///< wakes stop() when drained
     std::deque<std::function<void()>> tasks;
     std::size_t running = 0;
-    std::int64_t accepted = 0;
-    std::int64_t rejected = 0;
     bool stopping = false;
     std::vector<std::thread> workers;
 };
@@ -330,12 +328,9 @@ TaskQueue::try_submit(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(impl_->mutex);
-        if (impl_->stopping || impl_->tasks.size() >= max_pending_) {
-            ++impl_->rejected;
+        if (impl_->stopping || impl_->tasks.size() >= max_pending_)
             return false;
-        }
         impl_->tasks.push_back(std::move(task));
-        ++impl_->accepted;
     }
     impl_->task_cv.notify_one();
     return true;
@@ -346,27 +341,6 @@ TaskQueue::pending() const
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     return impl_->tasks.size();
-}
-
-std::size_t
-TaskQueue::in_flight() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->running;
-}
-
-std::int64_t
-TaskQueue::accepted() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->accepted;
-}
-
-std::int64_t
-TaskQueue::rejected() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->rejected;
 }
 
 void

@@ -136,15 +136,6 @@ class TaskQueue
     /** Tasks accepted but not yet started. */
     std::size_t pending() const;
 
-    /** Tasks currently executing on a worker. */
-    std::size_t in_flight() const;
-
-    /** Total tasks accepted by try_submit() since construction. */
-    std::int64_t accepted() const;
-
-    /** Total tasks rejected by the pending bound since construction. */
-    std::int64_t rejected() const;
-
     int num_workers() const { return num_workers_; }
     std::size_t max_pending() const { return max_pending_; }
 

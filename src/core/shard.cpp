@@ -234,14 +234,12 @@ stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
         .add(static_cast<std::int64_t>(cross.size()));
 }
 
-/** Plan + per-band compiles, shared by both entry points.
- *  @p sequential forces one-band-at-a-time compilation (streaming
- *  keeps only one region circuit alive; results are identical). */
+/** Every band compiled concurrently on the shared pool. */
 std::vector<CompileResult>
 compile_bands(const arch::CouplingGraph& device,
               const graph::Graph& problem,
               const CompilerOptions& options, const ShardPlan& plan,
-              bool sequential, CompileTier resolved)
+              CompileTier resolved)
 {
     auto& histogram = telemetry::histogram("compile.shard.region_qubits");
     for (const auto& region : plan.regions)
@@ -254,13 +252,8 @@ compile_bands(const arch::CouplingGraph& device,
                          problem, options, static_cast<std::size_t>(r),
                          resolved);
     };
-    if (sequential) {
-        for (std::size_t r = 0; r < plan.regions.size(); ++r)
-            one(static_cast<std::int64_t>(r));
-    } else {
-        common::parallel_tasks(
-            static_cast<std::int64_t>(plan.regions.size()), one);
-    }
+    common::parallel_tasks(static_cast<std::int64_t>(plan.regions.size()),
+                           one);
     return bands;
 }
 
@@ -350,8 +343,7 @@ shard_compile(const arch::CouplingGraph& device,
     span.arg("qubits", problem.num_vertices());
     span.arg("tier", tier_name(tier));
 
-    const auto bands = compile_bands(device, problem, options, plan,
-                                     /*sequential=*/false, tier);
+    const auto bands = compile_bands(device, problem, options, plan, tier);
 
     circuit::Circuit assembled(composed_initial(
         bands, plan, problem.num_vertices(), device.num_qubits()));
@@ -415,157 +407,6 @@ shard_compile(const arch::CouplingGraph& device,
                 " cx=" + std::to_string(rep.cx_count) +
                 " seconds=" + std::to_string(rep.total_seconds));
     return result;
-}
-
-ShardStreamResult
-shard_compile_stream(const arch::CouplingGraph& device,
-                     const graph::Graph& problem,
-                     const CompilerOptions& options,
-                     circuit::QasmStreamWriter& writer)
-{
-    fatal_unless(problem.num_vertices() <= device.num_qubits(),
-                 "problem does not fit on the device");
-    fatal_unless(options.noise == nullptr,
-                 "streaming sharded compile is noise-blind");
-    const ShardPlan plan =
-        plan_shards(device, options.shard_regions, options.shard_margin);
-    fatal_unless(plan.shardable,
-                 "device does not shard; use the materializing path");
-
-    Timer timer;
-    const CompileTier tier = resolve_tier(options.tier);
-    telemetry::ScopedSpan span("compile.shard");
-    span.arg("regions", static_cast<std::int64_t>(plan.regions.size()));
-    span.arg("qubits", problem.num_vertices());
-    span.arg("tier", tier_name(tier));
-    span.arg("streaming", 1);
-
-    // The full-QAOA prelude places H gates at the *composed* initial
-    // mapping, which only exists after every band has compiled — but
-    // the header must be written before the first chunk. Streaming is
-    // therefore restricted to the plain phase-separator program,
-    // whose header depends on qubit counts alone.
-    fatal_unless(!writer.options().full_qaoa,
-                 "streaming sharded emission supports the plain "
-                 "phase-separator program only");
-
-    ShardStreamResult out;
-    out.regions = static_cast<std::int32_t>(plan.regions.size());
-
-    auto& histogram = telemetry::histogram("compile.shard.region_qubits");
-    for (const auto& region : plan.regions)
-        histogram.record(static_cast<double>(region.num_qubits));
-
-    std::vector<circuit::Mapping> finals(plan.regions.size());
-    std::vector<circuit::Metrics> band_metrics(plan.regions.size());
-    Cycle band_depth = 0;
-
-    writer.begin(circuit::Mapping(problem.num_vertices(),
-                                  device.num_qubits()));
-
-    for (std::size_t r = 0; r < plan.regions.size(); ++r) {
-        const ShardRegion& region = plan.regions[r];
-        CompileResult band = compile_band(device, region, problem,
-                                          options, r, tier);
-        finals[r] = band.circuit.final_mapping();
-        band_metrics[r] = band.metrics;
-        band_depth = std::max(band_depth, band.circuit.depth());
-        out.total_ops +=
-            static_cast<std::int64_t>(band.circuit.ops().size());
-        out.peak_circuit_bytes = std::max(out.peak_circuit_bytes,
-                                          band.circuit.memory_bytes());
-        writer.chunk(band.circuit, region.first_qubit);
-        CompileReport::Band row;
-        row.index = static_cast<std::int32_t>(r);
-        row.qubits = region.num_qubits;
-        row.edges = band.report.problem_edges;
-        row.depth = static_cast<std::int64_t>(band.metrics.depth);
-        row.swaps = band.metrics.swap_gates;
-        row.cx = band.metrics.cx_count;
-        row.seconds = band.compile_seconds;
-        row.selected = band.selected;
-        row.tier = band.tier;
-        out.report.bands.push_back(std::move(row));
-        out.report.trials += band.report.trials;
-        out.report.snapshots += band.report.snapshots;
-        out.report.candidates += band.report.candidates;
-        out.report.placement_seconds +=
-            band.report.placement_seconds;
-        out.report.greedy_seconds += band.report.greedy_seconds;
-        out.report.materialize_seconds +=
-            band.report.materialize_seconds;
-        out.report.schedule_cache_hits +=
-            band.report.schedule_cache_hits;
-        out.report.schedule_cache_misses +=
-            band.report.schedule_cache_misses;
-        out.report.pull_cache_hits += band.report.pull_cache_hits;
-        out.report.pull_cache_misses += band.report.pull_cache_misses;
-        // band goes out of scope here: its arena is freed before the
-        // next region compiles.
-    }
-
-    // Stitch tail over the composed final mapping.
-    std::vector<PhysicalQubit> phys_of(
-        static_cast<std::size_t>(problem.num_vertices()), kInvalidQubit);
-    for (std::size_t r = 0; r < plan.regions.size(); ++r) {
-        const ShardRegion& region = plan.regions[r];
-        const std::int32_t local =
-            band_logicals(region, problem.num_vertices());
-        for (std::int32_t l = 0; l < local; ++l)
-            phys_of[static_cast<std::size_t>(region.first_qubit + l)] =
-                region.first_qubit + finals[r].physical_of(l);
-    }
-    circuit::Circuit stitch(circuit::Mapping(std::move(phys_of),
-                                             device.num_qubits()));
-    const auto cross = cross_band_edges(problem, plan);
-    out.stitched_edges = static_cast<std::int64_t>(cross.size());
-    Timer stitch_timer;
-    stitch_edges(stitch, device, cross);
-    out.report.stitch_seconds = stitch_timer.elapsed_seconds();
-    out.total_ops += static_cast<std::int64_t>(stitch.ops().size());
-    out.peak_circuit_bytes =
-        std::max(out.peak_circuit_bytes, stitch.memory_bytes());
-    writer.chunk(stitch);
-    writer.finish(stitch.final_mapping());
-
-    // Aggregate metrics: bands are qubit-disjoint (depth = max), the
-    // stitch tail runs after a barrier (depths add).
-    circuit::Metrics total;
-    const auto stitch_metrics =
-        circuit::compute_metrics(stitch, nullptr);
-    total.depth = band_depth + stitch_metrics.depth;
-    total.fidelity = stitch_metrics.fidelity;
-    total.compute_gates = stitch_metrics.compute_gates;
-    total.swap_gates = stitch_metrics.swap_gates;
-    total.merged_pairs = stitch_metrics.merged_pairs;
-    total.cx_count = stitch_metrics.cx_count;
-    for (const auto& m : band_metrics) {
-        total.compute_gates += m.compute_gates;
-        total.swap_gates += m.swap_gates;
-        total.merged_pairs += m.merged_pairs;
-        total.cx_count += m.cx_count;
-        total.fidelity *= m.fidelity;
-    }
-    out.metrics = total;
-    out.compile_seconds = timer.elapsed_seconds();
-
-    CompileReport& rep = out.report;
-    rep.tier_served = tier_name(tier);
-    rep.tier_requested = rep.tier_served;
-    rep.selected = "sharded";
-    rep.problem_qubits = problem.num_vertices();
-    rep.problem_edges = problem.num_edges();
-    rep.device_qubits = device.num_qubits();
-    rep.shard_regions = static_cast<std::int32_t>(plan.regions.size());
-    rep.stitched_edges = out.stitched_edges;
-    rep.stitch_swaps = stitch_metrics.swap_gates;
-    rep.stitch_depth = static_cast<std::int64_t>(stitch_metrics.depth);
-    rep.depth = static_cast<std::int64_t>(total.depth);
-    rep.cx_count = total.cx_count;
-    rep.swap_count = total.swap_gates;
-    rep.fidelity = total.fidelity;
-    rep.total_seconds = out.compile_seconds;
-    return out;
 }
 
 } // namespace permuq::core

@@ -26,8 +26,7 @@
  * order is a sorted edge list, so a fixed seed and fixed region count
  * give bit-identical output at any thread count. Memory: the dense
  * DistanceMatrix is only ever built per band (k tables of (n/k)^2
- * instead of one n^2 table), and the streaming entry point emits QASM
- * as regions complete without materializing the global circuit.
+ * instead of one n^2 table).
  */
 #ifndef PERMUQ_CORE_SHARD_H
 #define PERMUQ_CORE_SHARD_H
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "arch/coupling_graph.h"
-#include "circuit/qasm.h"
 #include "core/compiler.h"
 #include "core/options.h"
 #include "graph/graph.h"
@@ -95,43 +93,6 @@ arch::CouplingGraph make_band_device(const arch::CouplingGraph& device,
 CompileResult shard_compile(const arch::CouplingGraph& device,
                             const graph::Graph& problem,
                             const CompilerOptions& options);
-
-/** Outcome of a streaming sharded compile. */
-struct ShardStreamResult
-{
-    /** Aggregate metrics of the emitted program (noise-blind). */
-    circuit::Metrics metrics;
-    /** Total ops emitted across all chunks. */
-    std::int64_t total_ops = 0;
-    /** Largest number of circuit bytes live at once (max over time of
-     *  the in-flight region circuits + stitch tail). */
-    std::size_t peak_circuit_bytes = 0;
-    /** Regions the plan used. */
-    std::int32_t regions = 0;
-    /** Cross-band problem edges routed by the stitcher. */
-    std::int64_t stitched_edges = 0;
-    double compile_seconds = 0.0;
-    /** Per-compile explain report (band rows, stitch attribution,
-     *  cache rates) — same shape as CompileResult::report. */
-    CompileReport report;
-};
-
-/**
- * Sharded compile that streams OpenQASM into @p writer as regions
- * complete instead of materializing the global circuit: regions are
- * compiled one at a time, emitted as one chunk each (in band order,
- * ids translated by the band offset), and freed before the next
- * region starts; the stitch tail is emitted as the final chunk. Peak
- * circuit memory is one region plus the stitch tail. The device must
- * be shardable (check plan_shards) and @p options.noise must be null.
- * Byte-identical to emitting shard_compile()'s chunks region by
- * region with the same writer options.
- */
-ShardStreamResult
-shard_compile_stream(const arch::CouplingGraph& device,
-                     const graph::Graph& problem,
-                     const CompilerOptions& options,
-                     circuit::QasmStreamWriter& writer);
 
 } // namespace permuq::core
 

@@ -5,19 +5,16 @@
  * degenerate-device edge cases), semantic correctness of sharded
  * output under the Tier B symbolic checker, determinism across thread
  * counts and across repeated runs, the fallback contract on
- * unshardable devices, streaming QASM emission agreeing with the
- * materialized circuit, and the arena/BFS building blocks underneath.
+ * unshardable devices, and the arena/BFS building blocks underneath.
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "arch/coupling_graph.h"
 #include "circuit/fingerprint.h"
 #include "circuit/metrics.h"
 #include "circuit/op_arena.h"
-#include "circuit/qasm.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "core/compiler.h"
@@ -292,44 +289,6 @@ TEST(ShardCompile, ResolvedTierReachesEveryBand)
     auto full = core::compile(device, problem, best);
     for (const auto& band : full.report.bands)
         EXPECT_EQ(band.tier, "best") << "band " << band.index;
-
-    // Streamed and materialized sharding agree on band tiers.
-    std::ostringstream qasm;
-    circuit::QasmStreamWriter writer(qasm, {});
-    auto streamed =
-        core::shard_compile_stream(device, problem, options, writer);
-    ASSERT_EQ(streamed.report.bands.size(),
-              result.report.bands.size());
-    for (std::size_t i = 0; i < streamed.report.bands.size(); ++i)
-        EXPECT_EQ(streamed.report.bands[i].tier,
-                  result.report.bands[i].tier)
-            << "band " << i;
-}
-
-TEST(ShardStream, ReportMatchesMaterializedAttribution)
-{
-    auto device = arch::make_grid(8, 8);
-    auto problem = problem::fabric_local_graph(8, 8, 0.5, 2, 7);
-    core::CompilerOptions options;
-    options.shard_regions = 4;
-    auto materialized = core::compile(device, problem, options);
-
-    std::ostringstream qasm;
-    circuit::QasmStreamWriter writer(qasm, {});
-    auto streamed =
-        core::shard_compile_stream(device, problem, options, writer);
-
-    const auto& a = materialized.report;
-    const auto& b = streamed.report;
-    ASSERT_EQ(a.bands.size(), b.bands.size());
-    for (std::size_t i = 0; i < a.bands.size(); ++i) {
-        EXPECT_EQ(a.bands[i].depth, b.bands[i].depth) << "band " << i;
-        EXPECT_EQ(a.bands[i].swaps, b.bands[i].swaps) << "band " << i;
-        EXPECT_EQ(a.bands[i].cx, b.bands[i].cx) << "band " << i;
-    }
-    EXPECT_EQ(a.stitched_edges, b.stitched_edges);
-    EXPECT_EQ(a.stitch_swaps, b.stitch_swaps);
-    EXPECT_EQ(a.trials, b.trials);
 }
 
 TEST(ShardCompile, MetricsMatchAssembledCircuit)
@@ -344,73 +303,6 @@ TEST(ShardCompile, MetricsMatchAssembledCircuit)
     EXPECT_EQ(result.metrics.compute_gates, recomputed.compute_gates);
     EXPECT_EQ(result.metrics.swap_gates, recomputed.swap_gates);
     EXPECT_EQ(result.metrics.cx_count, recomputed.cx_count);
-}
-
-// ----------------------------------------------------------- streaming
-
-TEST(ShardStream, ByteIdenticalToMaterializedLowering)
-{
-    auto device = arch::make_grid(8, 4);
-    auto problem = problem::fabric_local_graph(8, 4, 0.5, 2, 29);
-    core::CompilerOptions options;
-    options.shard_regions = 4;
-
-    // Merging is chunk-local, so compare unmerged lowering, where the
-    // materialized circuit's single-chunk emission must match the
-    // streamed chunks byte for byte.
-    circuit::QasmOptions qasm;
-    qasm.merge_pairs = false;
-
-    std::ostringstream streamed;
-    circuit::QasmStreamWriter writer(streamed, qasm);
-    auto stream_result =
-        core::shard_compile_stream(device, problem, options, writer);
-
-    auto materialized = core::compile(device, problem, options);
-    EXPECT_EQ(streamed.str(), circuit::to_qasm(materialized.circuit, qasm));
-
-    EXPECT_EQ(stream_result.total_ops,
-              static_cast<std::int64_t>(materialized.circuit.ops().size()));
-    EXPECT_EQ(stream_result.metrics.depth, materialized.metrics.depth);
-    EXPECT_EQ(stream_result.metrics.cx_count,
-              circuit::compute_metrics(materialized.circuit, nullptr)
-                  .cx_count);
-    EXPECT_GT(stream_result.peak_circuit_bytes, 0u);
-    // Streaming keeps at most one band + stitch tail alive.
-    EXPECT_LT(stream_result.peak_circuit_bytes,
-              materialized.circuit.memory_bytes() +
-                  circuit::OpArena::kChunkOps * sizeof(circuit::ScheduledOp));
-}
-
-TEST(ShardStream, MergedLoweringIsChunkCanonical)
-{
-    auto device = arch::make_grid(6, 4);
-    auto problem = problem::fabric_local_graph(6, 4, 0.6, 2, 31);
-    core::CompilerOptions options;
-    options.shard_regions = 3;
-    std::ostringstream streamed;
-    circuit::QasmStreamWriter writer(streamed, {});
-    auto result =
-        core::shard_compile_stream(device, problem, options, writer);
-    // Header + at least one gate per problem edge.
-    EXPECT_NE(streamed.str().find("OPENQASM 2.0;"), std::string::npos);
-    EXPECT_GE(result.metrics.compute_gates, problem.num_edges());
-    EXPECT_EQ(result.regions, 3);
-}
-
-TEST(ShardStream, RejectsFullQaoaHeaders)
-{
-    auto device = arch::make_grid(4, 4);
-    auto problem = problem::fabric_local_graph(4, 4, 0.5, 2, 37);
-    core::CompilerOptions options;
-    options.shard_regions = 2;
-    circuit::QasmOptions qasm;
-    qasm.full_qaoa = true;
-    std::ostringstream out;
-    circuit::QasmStreamWriter writer(out, qasm);
-    EXPECT_THROW(
-        core::shard_compile_stream(device, problem, options, writer),
-        FatalError);
 }
 
 // ------------------------------------------------------ building blocks

@@ -274,7 +274,7 @@ def diff(baseline_path, candidate_path):
 
     base_keys = schema_keys(baseline)
     cand_keys = schema_keys(candidate)
-    # A section may legitimately be null on one side (e.g. stream_100k
+    # A section may legitimately be null on one side (e.g. fabric_100k
     # is only produced by full runs); ignore its nested keys.
     for doc in (baseline, candidate):
         for key, value in doc.items():

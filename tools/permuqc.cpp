@@ -21,6 +21,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include <sys/resource.h>
 
@@ -381,14 +382,21 @@ main(int argc, char** argv)
         if (!cli.qasm_out.empty()) {
             circuit::QasmOptions qasm;
             qasm.full_qaoa = request.full_qaoa;
-            // Stream straight into the file: the program text is never
+            // Block by block into the file: the program text is never
             // materialized in memory (it dwarfs the circuit at fabric
             // scale).
             std::ofstream out(cli.qasm_out);
-            circuit::QasmStreamWriter writer(out, qasm);
-            writer.begin(circuit.initial_mapping());
-            writer.chunk(circuit);
-            writer.finish(circuit.final_mapping());
+            circuit::QasmProgram(circuit, qasm)
+                .write([&out](std::string_view block) {
+                    out.write(block.data(),
+                              static_cast<std::streamsize>(block.size()));
+                });
+            out.close();
+            if (!out) {
+                std::fprintf(stderr, "permuqc: cannot write %s\n",
+                             cli.qasm_out.c_str());
+                return 1;
+            }
             std::printf("qasm      : wrote %s\n", cli.qasm_out.c_str());
         }
         if (cli.diagram)
