@@ -37,6 +37,11 @@
  * encode_frame), against its own budget. Pass --service to run only
  * this section (no JSON output).
  *
+ * A fifth section times a cold all-pairs distance table build on a
+ * fresh 1024q heavy-hex, Sycamore and grid device, each against a
+ * 40 ms budget. The other sections keep the table cached, so this is
+ * the only place its cost shows.
+ *
  * Emits BENCH_compile.json in the working directory. Pass --smoke to
  * cap the sweep at 256 qubits (CI); the >=3x sharded-vs-unsharded gate
  * at 4096 qubits and the 102400-qubit RSS budget apply only to the
@@ -69,6 +74,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/compiler.h"
+#include "graph/distance.h"
 #include "problem/generators.h"
 #include "service/client.h"
 #include "service/plan_cache.h"
@@ -172,6 +178,65 @@ run_fabric_100k()
                 static_cast<double>(out.circuit_bytes) / (1024.0 * 1024.0),
                 out.peak_rss_kib / 1024, kFabric100kRssBudgetKib / 1024);
     return out;
+}
+
+// ------------------------------------------------- cold distance table
+
+struct TableRow
+{
+    std::string arch;
+    std::int32_t requested = 0;
+    std::int32_t qubits = 0;
+    std::int32_t diameter = 0;
+    double ms = 0.0;
+};
+
+/** Budget of one cold 1024q table build, ms (diff_bench.py fails a row
+ *  over it, or a budget raised above the committed baseline's). */
+constexpr double kDistanceTableBudgetMs = 40.0;
+
+/**
+ * Cold all-pairs distance table on a fresh 1024q device per arch: the
+ * setup phase every unsharded compile, and every band of a sharded
+ * one, pays before placement. The other sections hold the table
+ * cached (or amortize it over reps), so this is the only row that
+ * shows its cost. Best of at least five builds per arch.
+ */
+std::vector<TableRow>
+run_distance_table_section(std::int32_t reps)
+{
+    const arch::ArchKind kinds[] = {arch::ArchKind::HeavyHex,
+                                    arch::ArchKind::Sycamore,
+                                    arch::ArchKind::Grid};
+    constexpr std::int32_t kRequested = 1024;
+    std::printf("\ncold distance table (fresh %dq device, budget "
+                "%.0f ms)\n",
+                kRequested, kDistanceTableBudgetMs);
+    std::printf("| %-9s | %6s | %8s | %8s |\n", "arch", "qubits",
+                "diameter", "ms");
+    std::vector<TableRow> rows;
+    for (auto kind : kinds) {
+        const arch::CouplingGraph device =
+            arch::smallest_arch(kind, kRequested);
+        TableRow row;
+        row.arch = arch::to_string(kind);
+        row.requested = kRequested;
+        row.qubits = device.num_qubits();
+        volatile std::int32_t sink = 0; // keeps the timed build live
+        row.ms = time_best(std::max(reps, 5), [&] {
+                     const graph::DistanceMatrix table(
+                         device.connectivity());
+                     sink = table.at(0, row.qubits - 1);
+                 }) *
+                 1e3;
+        row.diameter = device.distances().diameter();
+        std::printf("| %-9s | %6d | %8d | %8.2f |%s\n", row.arch.c_str(),
+                    row.qubits, row.diameter, row.ms,
+                    row.ms <= kDistanceTableBudgetMs ? ""
+                                                     : "  OVER BUDGET");
+        rows.push_back(row);
+    }
+    return rows;
 }
 
 // ------------------------------------------------- interactive tiers
@@ -702,6 +767,12 @@ main(int argc, char** argv)
         }
     }
 
+    const std::vector<TableRow> table_rows =
+        run_distance_table_section(reps);
+    bool tables_ok = true;
+    for (const TableRow& row : table_rows)
+        tables_ok = tables_ok && row.ms <= kDistanceTableBudgetMs;
+
     // Multi-start thread scaling: 8 perturbed-placement trials on the
     // mid-size heavy-hex instance, 1 thread vs the full pool. The
     // result must be identical; only the wall time may change.
@@ -876,6 +947,17 @@ main(int argc, char** argv)
                 r.arch.c_str(), r.requested, r.qubits, r.edges, r.seconds,
                 i + 1 < rows.size() ? "," : "");
         }
+        std::fprintf(json, "  ],\n  \"distance_table\": [\n");
+        for (std::size_t i = 0; i < table_rows.size(); ++i) {
+            const TableRow& r = table_rows[i];
+            std::fprintf(json,
+                         "    {\"arch\": \"%s\", \"requested_n\": %d, "
+                         "\"qubits\": %d, \"diameter\": %d, "
+                         "\"ms\": %.3f, \"budget_ms\": %.1f}%s\n",
+                         r.arch.c_str(), r.requested, r.qubits,
+                         r.diameter, r.ms, kDistanceTableBudgetMs,
+                         i + 1 < table_rows.size() ? "," : "");
+        }
         std::fprintf(json,
                      "  ],\n"
                      "  \"multistart\": {\"trials\": 8, "
@@ -993,6 +1075,8 @@ main(int argc, char** argv)
     bench::write_metrics_sidecar("compile_scaling");
 
     if (!all_match)
+        return 1;
+    if (!tables_ok)
         return 1;
     if (obs_ratio > kObsBudgetRatio)
         return 1;

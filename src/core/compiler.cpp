@@ -1059,9 +1059,7 @@ compile(const arch::CouplingGraph& device, const graph::Graph& problem,
 
     if (tier == CompileTier::Fast) {
         // Single-pass search-free pipeline; shares nothing with the
-        // multi-start machinery below. distances() is forced here for
-        // the same lazily-built-cache reason as in the general path.
-        device.distances();
+        // multi-start machinery below.
         CompileResult result = fast_compile(device, problem, options);
         result.tier = tier_name(tier);
         result.compile_seconds = timer.elapsed_seconds();
@@ -1087,6 +1085,7 @@ compile(const arch::CouplingGraph& device, const graph::Graph& problem,
         options.use_ata_prediction = false;
     }
 
+    Timer setup_timer;
     std::unique_ptr<CrosstalkMap> crosstalk;
     if (options.crosstalk_aware)
         crosstalk = std::make_unique<CrosstalkMap>(device);
@@ -1097,6 +1096,7 @@ compile(const arch::CouplingGraph& device, const graph::Graph& problem,
     device.distances();
     const EdgeTable edge_table(problem);
     const DeviceIndex device_index(device);
+    const double setup_seconds = setup_timer.elapsed_seconds();
     ScheduleCache sched_cache;
 
     // Placement time is summed across trials (they fan out on the
@@ -1159,6 +1159,7 @@ compile(const arch::CouplingGraph& device, const graph::Graph& problem,
     result.tier = tier_name(tier);
     result.compile_seconds = timer.elapsed_seconds();
     result.report.trials = trials;
+    result.report.setup_seconds = setup_seconds;
     result.report.placement_seconds =
         static_cast<double>(
             placement_ns.load(std::memory_order_relaxed)) *

@@ -38,7 +38,6 @@ bool fast_tier_supported(const arch::CouplingGraph& device);
 /**
  * Compile @p problem with the single-pass fast pipeline. Requires
  * fast_tier_supported(device); compile() enforces the fallback.
- * device.distances() must already be built (compile() forces it).
  */
 CompileResult fast_compile(const arch::CouplingGraph& device,
                            const graph::Graph& problem,

@@ -88,6 +88,8 @@ CompileReport::to_json() const
     out += ",\n  ";
     field(out, "candidates", static_cast<std::int64_t>(candidates));
     out += ",\n  \"phase_seconds\": {";
+    field(out, "setup", setup_seconds);
+    out += ", ";
     field(out, "placement", placement_seconds);
     out += ", ";
     field(out, "greedy", greedy_seconds);

@@ -59,10 +59,16 @@ struct CompileReport
     std::int32_t candidates = 0;
 
     // ------------------------------------------- phase wall times
-    // placement covers every trial's initial-mapping construction;
-    // greedy/materialize are the winning trial's engine run and
-    // candidate materialization+selection; stitch is the sharded
-    // cross-band router. total is the whole compile() call.
+    // setup is the work before placement: the device's all-pairs
+    // distance table, the EdgeTable and DeviceIndex, and the
+    // CrosstalkMap when crosstalk is on. placement covers every
+    // trial's initial-mapping construction; greedy/materialize are
+    // the winning trial's engine run and candidate
+    // materialization+selection; stitch is the sharded cross-band
+    // router. total is the whole compile() call. Placement sums over
+    // trials and a sharded compile sums each phase over its bands, so
+    // the phases fit inside total only when those run on one thread.
+    double setup_seconds = 0.0;
     double placement_seconds = 0.0;
     double greedy_seconds = 0.0;
     double materialize_seconds = 0.0;

@@ -384,6 +384,7 @@ shard_compile(const arch::CouplingGraph& device,
         rep.trials += band.report.trials;
         rep.snapshots += band.report.snapshots;
         rep.candidates += band.report.candidates;
+        rep.setup_seconds += band.report.setup_seconds;
         rep.placement_seconds += band.report.placement_seconds;
         rep.greedy_seconds += band.report.greedy_seconds;
         rep.materialize_seconds += band.report.materialize_seconds;

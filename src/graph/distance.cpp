@@ -1,54 +1,41 @@
 #include "distance.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 
 #include "common/error.h"
 
 namespace permuq::graph {
 
-std::vector<std::int32_t>
-bfs_distances(const Graph& g, std::int32_t source)
-{
-    fatal_unless(source >= 0 && source < g.num_vertices(),
-                 "BFS source out of range");
-    std::vector<std::int32_t> dist(
-        static_cast<std::size_t>(g.num_vertices()), kUnreachable);
-    std::deque<std::int32_t> queue;
-    dist[static_cast<std::size_t>(source)] = 0;
-    queue.push_back(source);
-    while (!queue.empty()) {
-        std::int32_t v = queue.front();
-        queue.pop_front();
-        std::int32_t next = dist[static_cast<std::size_t>(v)] + 1;
-        for (std::int32_t w : g.neighbors(v)) {
-            if (dist[static_cast<std::size_t>(w)] == kUnreachable) {
-                dist[static_cast<std::size_t>(w)] = next;
-                queue.push_back(w);
-            }
-        }
-    }
-    return dist;
-}
-
 DistanceMatrix::DistanceMatrix(const Graph& g)
     : n_(static_cast<std::size_t>(g.num_vertices()))
 {
+    // One BFS per source row over the flattened adjacency. The row
+    // under construction is its own visited set (kRawUnreachable =
+    // not reached yet), and one queue array serves every source.
     table_.assign(n_ * n_, kRawUnreachable);
-    for (std::int32_t s = 0; s < g.num_vertices(); ++s) {
-        auto dist = bfs_distances(g, s);
-        for (std::int32_t v = 0; v < g.num_vertices(); ++v) {
-            std::int32_t d = dist[static_cast<std::size_t>(v)];
-            if (d != kUnreachable) {
-                panic_unless(d < kRawUnreachable,
-                             "distance between vertices (" +
-                                 std::to_string(s) + "," +
-                                 std::to_string(v) +
-                                 ") exceeds 16-bit storage");
-                table_[static_cast<std::size_t>(s) * n_ +
-                       static_cast<std::size_t>(v)] =
-                    static_cast<std::uint16_t>(d);
+    const FlatAdjacency adj(g);
+    std::vector<std::int32_t> queue(n_);
+    for (std::size_t s = 0; s < n_; ++s) {
+        std::uint16_t* row = table_.data() + s * n_;
+        row[s] = 0;
+        queue[0] = static_cast<std::int32_t>(s);
+        std::size_t tail = 1;
+        for (std::size_t head = 0; head < tail; ++head) {
+            const std::int32_t v = queue[head];
+            const std::int32_t next = row[static_cast<std::size_t>(v)] + 1;
+            for (const std::int32_t* w = adj.neighbors_begin(v);
+                 w != adj.neighbors_end(v); ++w) {
+                std::uint16_t& entry = row[static_cast<std::size_t>(*w)];
+                if (entry != kRawUnreachable)
+                    continue;
+                if (next >= kRawUnreachable)
+                    throw PanicError("distance between vertices (" +
+                                     std::to_string(s) + "," +
+                                     std::to_string(*w) +
+                                     ") exceeds 16-bit storage");
+                entry = static_cast<std::uint16_t>(next);
+                queue[tail++] = *w;
             }
         }
     }

@@ -16,19 +16,20 @@
 
 namespace permuq::graph {
 
-/** Single-source BFS distances; kUnreachable for disconnected vertices. */
-std::vector<std::int32_t> bfs_distances(const Graph& g, std::int32_t source);
-
 /**
- * Dense all-pairs distance table computed by n BFS passes.
- * Entries saturate at 65534; 65535 encodes "unreachable".
+ * Dense all-pairs distance table: one BFS per source row over a
+ * FlatAdjacency, writing each distance straight into the row's 16-bit
+ * entry, with one queue reused for every source. Entries are exact
+ * distances up to 65534; 65535 encodes "unreachable". A longer
+ * distance panics, which needs at least 65 536 vertices (a distance
+ * is at most n - 1).
  */
 class DistanceMatrix
 {
   public:
     DistanceMatrix() = default;
 
-    /** Build the table for @p g (O(n * (n + m))). */
+    /** Build the table for @p g (O(n * (n + m)) time, n^2 entries). */
     explicit DistanceMatrix(const Graph& g);
 
     /** Distance between u and v; kUnreachable if disconnected. */

@@ -126,6 +126,13 @@ TEST(CompileTest, ReportAttributesPhasesPrefixTailAndCaches)
     EXPECT_GT(rep.trials, 0);
     EXPECT_GT(rep.total_seconds, 0.0);
     EXPECT_GT(rep.greedy_seconds, 0.0);
+    // One placement trial: the phases are disjoint intervals of the
+    // compile, so they fit inside its total.
+    EXPECT_GT(rep.setup_seconds, 0.0);
+    EXPECT_LE(rep.setup_seconds + rep.placement_seconds +
+                  rep.greedy_seconds + rep.materialize_seconds +
+                  rep.stitch_seconds,
+              rep.total_seconds);
 
     // Prefix + tail partition the op stream and its metrics exactly.
     const auto total_ops =
@@ -160,7 +167,8 @@ TEST(CompileTest, ReportAttributesPhasesPrefixTailAndCaches)
 
     const std::string json = rep.to_json();
     EXPECT_NE(json.find("\"permuq_report\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"phase_seconds\""), std::string::npos);
+    EXPECT_NE(json.find("\"phase_seconds\": {\"setup\": "),
+              std::string::npos);
     EXPECT_NE(json.find("\"caches\""), std::string::npos);
 }
 
@@ -177,6 +185,11 @@ TEST(CompileTest, FastTierReportCoversPrefixAndTail)
               static_cast<std::int64_t>(result.circuit.ops().size()));
     EXPECT_EQ(rep.prefix_depth + rep.tail_depth, result.metrics.depth);
     EXPECT_GT(rep.total_seconds, 0.0);
+    EXPECT_GT(rep.setup_seconds, 0.0);
+    EXPECT_LE(rep.setup_seconds + rep.placement_seconds +
+                  rep.greedy_seconds + rep.materialize_seconds +
+                  rep.stitch_seconds,
+              rep.total_seconds);
 }
 
 TEST(CompileTest, OutputBitIdenticalWithObservabilityEnabled)

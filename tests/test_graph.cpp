@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "arch/coupling_graph.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/coloring.h"
@@ -68,22 +72,52 @@ TEST(GraphTest, CliqueAndDensity)
     EXPECT_DOUBLE_EQ(path_graph(5).density(), 0.4);
 }
 
+/**
+ * Every row of the dense table, decoded, must equal the independent
+ * on-demand BFS of BfsOracle from the same source.
+ */
+void
+expect_rows_match_oracle(const Graph& g, const std::string& label)
+{
+    DistanceMatrix m(g);
+    ASSERT_EQ(m.num_vertices(), g.num_vertices()) << label;
+    FlatAdjacency adjacency(g);
+    BfsOracle oracle(adjacency);
+    for (std::int32_t s = 0; s < g.num_vertices(); ++s) {
+        const auto& expected = oracle.distances_from(s);
+        const std::uint16_t* row = m.row(s);
+        for (std::int32_t v = 0; v < g.num_vertices(); ++v) {
+            ASSERT_EQ(DistanceMatrix::decode(row[v]),
+                      expected[static_cast<std::size_t>(v)])
+                << label << ": distance " << s << " -> " << v;
+        }
+    }
+}
+
 TEST(DistanceTest, PathDistances)
 {
     auto g = path_graph(6);
-    auto d = bfs_distances(g, 0);
-    for (std::int32_t v = 0; v < 6; ++v)
+    FlatAdjacency adjacency(g);
+    BfsOracle oracle(adjacency);
+    const auto& d = oracle.distances_from(0);
+    DistanceMatrix m(g);
+    for (std::int32_t v = 0; v < 6; ++v) {
         EXPECT_EQ(d[static_cast<std::size_t>(v)], v);
+        EXPECT_EQ(m.at(0, v), v);
+        EXPECT_EQ(m.at(v, 0), v);
+    }
 }
 
 TEST(DistanceTest, DisconnectedIsUnreachable)
 {
     Graph g(4);
     g.add_edge(0, 1);
-    auto d = bfs_distances(g, 0);
-    EXPECT_EQ(d[2], kUnreachable);
+    FlatAdjacency adjacency(g);
+    BfsOracle oracle(adjacency);
+    EXPECT_EQ(oracle.distances_from(0)[2], kUnreachable);
     DistanceMatrix m(g);
     EXPECT_EQ(m.at(0, 2), kUnreachable);
+    EXPECT_EQ(m.row(0)[2], DistanceMatrix::kRawUnreachable);
     EXPECT_EQ(m.at(0, 1), 1);
 }
 
@@ -97,12 +131,57 @@ TEST(DistanceTest, MatrixMatchesBfs)
         if (u != v && !g.has_edge(u, v))
             g.add_edge(u, v);
     }
-    DistanceMatrix m(g);
-    for (std::int32_t s = 0; s < 20; ++s) {
-        auto d = bfs_distances(g, s);
-        for (std::int32_t v = 0; v < 20; ++v)
-            EXPECT_EQ(m.at(s, v), d[static_cast<std::size_t>(v)]);
+    expect_rows_match_oracle(g, "random 20-vertex graph");
+}
+
+TEST(DistanceTest, EveryNamedDeviceMatchesBfsOracle)
+{
+    for (const std::string& name : arch::named_devices()) {
+        for (std::int32_t qubits : {64, 300}) {
+            const auto device = arch::named_device(name, qubits);
+            expect_rows_match_oracle(device.connectivity(),
+                                     name + " @ " +
+                                         std::to_string(qubits));
+            if (HasFatalFailure())
+                return;
+        }
     }
+}
+
+TEST(DistanceTest, InterleavedComponentsAndIsolatedVertices)
+{
+    // A 4-path, a 5-cycle and a triangle, interleaved in vertex order
+    // so every component spans the id range, plus isolated vertices
+    // at both ends of the table (0 and 13).
+    const std::int32_t n = 14;
+    Graph g(n);
+    const std::vector<std::int32_t> path = {1, 4, 7, 10};
+    const std::vector<std::int32_t> cycle = {2, 5, 8, 11, 12};
+    const std::vector<std::int32_t> triangle = {3, 6, 9};
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        g.add_edge(path[i], path[i + 1]);
+    for (std::size_t i = 0; i < cycle.size(); ++i)
+        g.add_edge(cycle[i], cycle[(i + 1) % cycle.size()]);
+    for (std::size_t i = 0; i < triangle.size(); ++i)
+        g.add_edge(triangle[i], triangle[(i + 1) % triangle.size()]);
+    expect_rows_match_oracle(g, "interleaved components");
+
+    DistanceMatrix m(g);
+    EXPECT_EQ(m.at(1, 10), 3);
+    EXPECT_EQ(m.at(2, 8), 2);
+    EXPECT_EQ(m.at(2, 11), 2);
+    EXPECT_EQ(m.at(3, 9), 1);
+    for (std::int32_t u : path)
+        for (std::int32_t v : cycle)
+            EXPECT_EQ(m.at(u, v), kUnreachable);
+    for (std::int32_t isolated : {0, n - 1}) {
+        for (std::int32_t v = 0; v < n; ++v) {
+            const std::int32_t want = v == isolated ? 0 : kUnreachable;
+            EXPECT_EQ(m.at(isolated, v), want);
+            EXPECT_EQ(m.at(v, isolated), want);
+        }
+    }
+    EXPECT_EQ(m.diameter(), 3);
 }
 
 TEST(DistanceTest, DiameterOfPath)
@@ -256,6 +335,7 @@ TEST(DistanceTest, UnreachablePropagatesAcrossComponents)
     g.add_edge(3, 4);
     // 5, 6, 7 isolated except 6-7.
     g.add_edge(6, 7);
+    expect_rows_match_oracle(g, "four components");
     DistanceMatrix m(g);
     std::vector<std::int32_t> comp = {0, 0, 0, 1, 1, 2, 3, 3};
     for (std::int32_t u = 0; u < 8; ++u) {

@@ -261,6 +261,27 @@ TEST(ShardCompile, ReportAttributesBandsAndStitch)
     EXPECT_NE(json.find("\"stitched_edges\""), std::string::npos);
 }
 
+TEST(ShardCompile, ReportPhasesIncludeSetupAndFitTotal)
+{
+    // Bands compile one after another on one thread, so the phases
+    // summed over bands are disjoint intervals of the sharded total.
+    const int saved = common::num_threads();
+    common::set_num_threads(1);
+    auto device = arch::make_grid(8, 8);
+    auto problem = problem::fabric_local_graph(8, 8, 0.5, 2, 7);
+    core::CompilerOptions options;
+    options.shard_regions = 4;
+    auto result = core::compile(device, problem, options);
+    common::set_num_threads(saved);
+    ASSERT_EQ(result.selected, "sharded");
+    const core::CompileReport& rep = result.report;
+    EXPECT_GT(rep.setup_seconds, 0.0);
+    EXPECT_LE(rep.setup_seconds + rep.placement_seconds +
+                  rep.greedy_seconds + rep.materialize_seconds +
+                  rep.stitch_seconds,
+              rep.total_seconds);
+}
+
 TEST(ShardCompile, ResolvedTierReachesEveryBand)
 {
     auto device = arch::make_grid(8, 8);

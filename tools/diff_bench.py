@@ -14,9 +14,17 @@ between runs:
     BENCH_compile.json "cases" rows are matched on (arch, requested_n)
     and compared on qubits/edges; "fabric" rows are matched on qubits
     and compared on edges/regions; "tiers" rows are matched on
-    (arch, requested_n, tier) and compared on qubits/edges. Rows
-    present in only one file (the committed baseline is a full run,
-    CI produces --smoke) are skipped;
+    (arch, requested_n, tier) and compared on qubits/edges;
+    "distance_table" rows are matched on (arch, requested_n) and
+    compared on qubits/diameter. Rows present in only one file (the
+    committed baseline is a full run, CI produces --smoke) are
+    skipped;
+  * each BENCH_compile.json "distance_table" row (a cold all-pairs
+    distance table build on a fresh 1024q device) stays within its
+    own budget_ms, and that budget has not been silently raised above
+    the committed baseline row's -- the table is the setup cost every
+    unsharded compile and every shard band pays, so a slower build
+    fails the diff even though it is a timing;
   * the "telemetry_overhead" section's overhead_ratio stays within
     its own budget_ratio and the budget has not been silently raised
     above the committed baseline's -- an observability-cost
@@ -62,6 +70,7 @@ ROW_SECTIONS = {
     "cases": (("arch", "requested_n"), ("qubits", "edges")),
     "fabric": (("qubits",), ("edges", "regions")),
     "tiers": (("arch", "requested_n", "tier"), ("qubits", "edges")),
+    "distance_table": (("arch", "requested_n"), ("qubits", "diameter")),
 }
 
 
@@ -179,6 +188,51 @@ def diff_service(base, cand):
             print(
                 f"diff_bench: service {label} {value:.3f} ms "
                 f"(baseline {base_value:.3f} ms, budget {budget:.2f} ms)"
+            )
+    return status
+
+
+def diff_distance_table(base_rows, cand_rows):
+    """Gate the cold distance-table rows: each build stays within its
+    budget_ms, and no budget is quietly raised above the committed
+    baseline row's."""
+    if not isinstance(cand_rows, list):
+        return 0
+    base_index = {
+        (row.get("arch"), row.get("requested_n")): row
+        for row in (base_rows if isinstance(base_rows, list) else [])
+    }
+    status = 0
+    for row in cand_rows:
+        key = (row.get("arch"), row.get("requested_n"))
+        value = row.get("ms")
+        budget = row.get("budget_ms")
+        if not isinstance(value, (int, float)) or not isinstance(
+            budget, (int, float)
+        ):
+            status |= fail(f"distance_table row {key} lacks numeric ms/budget")
+            continue
+        if value > budget:
+            status |= fail(
+                f"distance_table row {key}: {value:.3f} ms exceeds its "
+                f"budget {budget:.2f} ms"
+            )
+        base_row = base_index.get(key)
+        if base_row is None:
+            continue
+        base_budget = base_row.get("budget_ms")
+        if isinstance(base_budget, (int, float)) and budget > base_budget:
+            status |= fail(
+                f"distance_table row {key}: budget raised from "
+                f"{base_budget:.2f} to {budget:.2f} ms without a "
+                f"baseline update"
+            )
+        base_value = base_row.get("ms")
+        if isinstance(base_value, (int, float)):
+            print(
+                f"diff_bench: distance_table {key[0]} {key[1]}q "
+                f"{value:.3f} ms (baseline {base_value:.3f} ms, budget "
+                f"{budget:.2f} ms)"
             )
     return status
 
@@ -342,6 +396,10 @@ def diff(baseline_path, candidate_path):
     )
 
     status |= diff_stages(baseline.get("stages"), candidate.get("stages"))
+
+    status |= diff_distance_table(
+        baseline.get("distance_table"), candidate.get("distance_table")
+    )
 
     if status == 0:
         print(f"diff_bench: {candidate_path} consistent with {baseline_path}")

@@ -61,7 +61,7 @@ def print_summary(rep):
     ph = rep["phase_seconds"]
     total = ph["total"] or 0.0
     print(f"wall time   : {total * 1e3:.2f} ms total")
-    for key in ("placement", "greedy", "materialize", "stitch"):
+    for key in ("setup", "placement", "greedy", "materialize", "stitch"):
         sec = ph.get(key, 0.0)
         if sec <= 0.0:
             continue
