@@ -25,8 +25,9 @@ namespace permuq::core {
  *   Balanced  the hybrid pipeline with a reduced search budget
  *             (single placement start, fewer materialized
  *             candidates, sparser snapshots).
- *   Best      the full multi-start hybrid (paper-faithful; the
- *             historical default, bit for bit).
+ *   Best      the full hybrid search budget (paper-faithful; the
+ *             historical default, bit for bit). It runs one
+ *             placement start unless num_placement_trials > 1.
  *   Auto      resolve from the PERMUQ_TIER environment variable
  *             ("fast" | "balanced" | "best"), defaulting to Best.
  */

@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/telemetry/telemetry.h"
-#include "common/vecops.h"
 
 namespace permuq::core {
 
@@ -19,33 +18,21 @@ connectivity_strength_placement(const arch::CouplingGraph& device,
     std::int32_t num_phys = device.num_qubits();
     const auto& dist = device.distances();
 
-    // Physical centrality: degree, tie-broken by closeness. Row-wise
-    // accumulation over the raw distance table via the vecops kernels
-    // (integer-exact on every SIMD tier): the raw u16 sum plus the
-    // unreachable-sentinel count rebuilds the decoded sum exactly,
-    // since decode() only rewrites the sentinel value.
-    const auto& vk = common::vecops::active();
-    constexpr std::int64_t kDecodeBias =
-        static_cast<std::int64_t>(kUnreachable) -
-        graph::DistanceMatrix::kRawUnreachable;
+    // Physical centrality: degree, tie-broken by closeness (the summed
+    // distance row; an unreachable pair adds kUnreachable).
+    using graph::DistanceMatrix;
     std::vector<std::int64_t> closeness(
         static_cast<std::size_t>(num_phys), 0);
-    bool disconnected = false;
     for (std::int32_t p = 0; p < num_phys; ++p) {
-        std::int64_t unreachable = 0;
-        std::uint64_t raw_sum = vk.sum_u16(
-            dist.row(p), static_cast<std::size_t>(num_phys),
-            graph::DistanceMatrix::kRawUnreachable, &unreachable);
-        disconnected |= unreachable != 0;
-        closeness[static_cast<std::size_t>(p)] =
-            static_cast<std::int64_t>(raw_sum) +
-            kDecodeBias * unreachable;
+        const std::uint16_t* row = dist.row(p);
+        std::int64_t sum = 0;
+        for (std::int32_t q = 0; q < num_phys; ++q)
+            sum += DistanceMatrix::decode(row[static_cast<std::size_t>(q)]);
+        closeness[static_cast<std::size_t>(p)] = sum;
     }
 
     std::vector<PhysicalQubit> phys_of(
         static_cast<std::size_t>(n), kInvalidQubit);
-    // Bytes, not vector<bool>: the masked-argmin kernel reads this as
-    // the skip mask directly.
     std::vector<std::uint8_t> pos_used(
         static_cast<std::size_t>(num_phys), 0);
     std::vector<bool> placed(static_cast<std::size_t>(n), false);
@@ -53,16 +40,9 @@ connectivity_strength_placement(const arch::CouplingGraph& device,
     // maintained incrementally instead of recounted per step.
     std::vector<std::int32_t> placed_nbrs(static_cast<std::size_t>(n), 0);
     // Summed distance from each position to the placed neighbors of
-    // the current pick; reused across steps. On a connected device
-    // every partial sum is < num_phys^2, so the 32-bit accumulator
-    // (twice the SIMD lanes of the 64-bit one) is exact; the 64-bit
-    // variant stays behind for disconnected devices where unreachable
-    // sentinels (INT32_MAX/4 each) would overflow it.
-    bool narrow_acc = !disconnected && num_phys < 46000;
-    std::vector<std::int64_t> acc(
-        narrow_acc ? 0 : static_cast<std::size_t>(num_phys), 0);
-    std::vector<std::int32_t> acc32(
-        narrow_acc ? static_cast<std::size_t>(num_phys) : 0, 0);
+    // the current pick; reused across steps. 64-bit, because on a
+    // disconnected device each unreachable pair adds kUnreachable.
+    std::vector<std::int64_t> acc(static_cast<std::size_t>(num_phys), 0);
 
     auto best_free_central = [&] {
         PhysicalQubit best = kInvalidQubit;
@@ -101,61 +81,27 @@ connectivity_strength_placement(const arch::CouplingGraph& device,
             where = best_free_central();
         } else {
             // Sum distances row-major: one sequential pass over the
-            // distance row of each placed neighbor, then a single
-            // argmin scan. Integer sums and the ascending first-strict-
-            // min scan reproduce the original at(p, w) loop bit for
-            // bit.
-            if (narrow_acc) {
-                // Vectorized accumulate + masked first-strict-min
-                // argmin (vecops kernels, integer-exact: identical
-                // result on every SIMD tier). Sums stay below
-                // num_phys^2 < 46000^2 < INT32_MAX, the AVX2 kernel's
-                // masked-lane sentinel.
-                std::fill(acc32.begin(), acc32.end(), 0);
-                for (std::int32_t w : problem.neighbors(pick)) {
-                    if (!placed[static_cast<std::size_t>(w)])
-                        continue;
-                    vk.add_u16_to_i32(
-                        acc32.data(),
-                        dist.row(phys_of[static_cast<std::size_t>(w)]),
-                        static_cast<std::size_t>(num_phys));
-                }
-                std::int64_t found = vk.argmin_masked_i32(
-                    acc32.data(), pos_used.data(),
-                    static_cast<std::size_t>(num_phys));
-                if (found >= 0)
-                    where = static_cast<PhysicalQubit>(found);
-            } else {
-                std::fill(acc.begin(), acc.end(), 0);
-                constexpr std::int64_t kUnreachBias =
-                    static_cast<std::int64_t>(kUnreachable) -
-                    graph::DistanceMatrix::kRawUnreachable;
-                for (std::int32_t w : problem.neighbors(pick)) {
-                    if (!placed[static_cast<std::size_t>(w)])
-                        continue;
-                    const std::uint16_t* row =
-                        dist.row(phys_of[static_cast<std::size_t>(w)]);
-                    for (std::int32_t p = 0; p < num_phys; ++p) {
-                        // Branchless decode (raw + bias when
-                        // unreachable).
-                        std::uint16_t raw =
-                            row[static_cast<std::size_t>(p)];
-                        acc[static_cast<std::size_t>(p)] +=
-                            raw +
-                            kUnreachBias *
-                                (raw ==
-                                 graph::DistanceMatrix::kRawUnreachable);
-                    }
-                }
-                std::int64_t best_sum = -1;
+            // distance row of each placed neighbor, then the first
+            // strict minimum over free positions in ascending order.
+            std::fill(acc.begin(), acc.end(), 0);
+            for (std::int32_t w : problem.neighbors(pick)) {
+                if (!placed[static_cast<std::size_t>(w)])
+                    continue;
+                const std::uint16_t* row =
+                    dist.row(phys_of[static_cast<std::size_t>(w)]);
                 for (std::int32_t p = 0; p < num_phys; ++p) {
-                    if (pos_used[static_cast<std::size_t>(p)] != 0)
-                        continue;
-                    if (best_sum < 0 ||
-                        acc[static_cast<std::size_t>(p)] < best_sum) {
-                        best_sum = acc[static_cast<std::size_t>(p)];
-                        where = p;
-                    }
+                    const auto i = static_cast<std::size_t>(p);
+                    acc[i] += DistanceMatrix::decode(row[i]);
+                }
+            }
+            std::int64_t best_sum = -1;
+            for (std::int32_t p = 0; p < num_phys; ++p) {
+                if (pos_used[static_cast<std::size_t>(p)] != 0)
+                    continue;
+                if (best_sum < 0 ||
+                    acc[static_cast<std::size_t>(p)] < best_sum) {
+                    best_sum = acc[static_cast<std::size_t>(p)];
+                    where = p;
                 }
             }
         }

@@ -196,7 +196,9 @@ cross_band_edges(const graph::Graph& problem, const ShardPlan& plan)
  * table) from the stationary endpoint, then walk the mobile endpoint
  * down the distance gradient — first strictly-improving neighbor in
  * ascending id order, mirroring graph::walk_toward — until the pair
- * sits on a coupler.
+ * sits on a coupler. The walk only compares entries against distances
+ * below the mobile endpoint's, so the BFS stops once it dequeues that
+ * endpoint (see BfsOracle::distances_from).
  */
 void
 stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
@@ -209,7 +211,7 @@ stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
     for (const auto& edge : cross) {
         PhysicalQubit pa = out.final_mapping().physical_of(edge.a);
         const PhysicalQubit pb = out.final_mapping().physical_of(edge.b);
-        const auto& dist = oracle.distances_from(pb);
+        const auto& dist = oracle.distances_from(pb, pa);
         fatal_unless(dist[static_cast<std::size_t>(pa)] != kUnreachable,
                      "stitched endpoints are disconnected on the device");
         while (dist[static_cast<std::size_t>(pa)] > 1) {

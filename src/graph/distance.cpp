@@ -71,19 +71,24 @@ BfsOracle::BfsOracle(const FlatAdjacency& adj)
     queue_.reserve(dist_.size());
 }
 
-void
-BfsOracle::run(std::int32_t source, std::int32_t target)
+const std::vector<std::int32_t>&
+BfsOracle::distances_from(std::int32_t source, std::int32_t target)
 {
     fatal_unless(source >= 0 && source < adj_->num_vertices(),
                  "BFS source out of range");
-    std::fill(dist_.begin(), dist_.end(), kUnreachable);
+    fatal_unless(target >= -1 && target < adj_->num_vertices(),
+                 "BFS target out of range");
+    // Only the vertices the last query queued hold a distance, so
+    // resetting them costs what that query visited, not the fabric.
+    for (std::int32_t v : queue_)
+        dist_[static_cast<std::size_t>(v)] = kUnreachable;
     queue_.clear();
     dist_[static_cast<std::size_t>(source)] = 0;
     queue_.push_back(source);
     for (std::size_t head = 0; head < queue_.size(); ++head) {
         std::int32_t v = queue_[head];
         if (v == target)
-            return;
+            break;
         std::int32_t next = dist_[static_cast<std::size_t>(v)] + 1;
         for (const std::int32_t* w = adj_->neighbors_begin(v);
              w != adj_->neighbors_end(v); ++w) {
@@ -93,21 +98,6 @@ BfsOracle::run(std::int32_t source, std::int32_t target)
             }
         }
     }
-}
-
-std::int32_t
-BfsOracle::distance(std::int32_t source, std::int32_t target)
-{
-    fatal_unless(target >= 0 && target < adj_->num_vertices(),
-                 "BFS target out of range");
-    run(source, target);
-    return dist_[static_cast<std::size_t>(target)];
-}
-
-const std::vector<std::int32_t>&
-BfsOracle::distances_from(std::int32_t source)
-{
-    run(source, /*target=*/-1);
     return dist_;
 }
 

@@ -136,7 +136,7 @@ class FlatAdjacency
 
 /**
  * On-demand single-source BFS distances over a FlatAdjacency, with an
- * early exit once a target is settled. Memory is O(n) scratch reused
+ * optional early exit at a target. Memory is O(n) scratch reused
  * across queries (never a dense n^2 table), so it scales to 100k-qubit
  * fabrics. Not thread-safe: each thread owns its own oracle.
  */
@@ -147,24 +147,22 @@ class BfsOracle
     explicit BfsOracle(const FlatAdjacency& adj);
 
     /**
-     * Distance from @p source to @p target; kUnreachable when
-     * disconnected. The BFS stops as soon as @p target is settled.
+     * Distance row from @p source, one entry per vertex. With no
+     * @p target (-1) the BFS runs to completion: every entry is exact,
+     * kUnreachable for disconnected vertices. With a @p target the BFS
+     * stops once it dequeues @p target: every vertex no farther from
+     * @p source than @p target holds its exact distance, and every
+     * other entry holds its exact distance or kUnreachable. The
+     * returned reference is the internal scratch row, valid until the
+     * next query.
      */
-    std::int32_t distance(std::int32_t source, std::int32_t target);
-
-    /**
-     * Full distance row from @p source (entry per vertex,
-     * kUnreachable for disconnected ones). The returned reference is
-     * the internal scratch row — valid until the next query.
-     */
-    const std::vector<std::int32_t>& distances_from(std::int32_t source);
+    const std::vector<std::int32_t>& distances_from(std::int32_t source,
+                                                    std::int32_t target = -1);
 
   private:
-    /** BFS from @p source; stops early when @p target (>= 0) settles. */
-    void run(std::int32_t source, std::int32_t target);
-
     const FlatAdjacency* adj_;
-    /** Scratch distance row; stamp_ marks entries valid this query. */
+    /** Scratch distance row: kUnreachable except at the vertices
+     *  queue_ holds from the last query. */
     std::vector<std::int32_t> dist_;
     std::vector<std::int32_t> queue_;
 };

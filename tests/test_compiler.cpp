@@ -12,6 +12,7 @@
 #include "arch/coupling_graph.h"
 #include "arch/noise_model.h"
 #include "baselines/baselines.h"
+#include "circuit/fingerprint.h"
 #include "circuit/metrics.h"
 #include "common/log/log.h"
 #include "common/telemetry/telemetry.h"
@@ -458,6 +459,49 @@ TEST(PlacementTest, ReducesTotalDistanceVsIdentity)
         return sum;
     };
     EXPECT_LT(total(smart), total(identity));
+}
+
+TEST(PlacementTest, MatchesPinnedMappings)
+{
+    // The golden compile hashes only reach connected devices of at
+    // most 256 qubits. These pin the whole placement on a device of
+    // two disconnected 4x4 grids, where every closeness and placement
+    // sum counts unreachable pairs, and on ~300q regular devices.
+    std::vector<VertexPair> couplers;
+    for (std::int32_t q = 0; q < 32; ++q) {
+        if (q % 4 != 3)
+            couplers.emplace_back(q, q + 1);
+        if (q % 16 < 12)
+            couplers.emplace_back(q, q + 4);
+    }
+    struct Pin
+    {
+        arch::CouplingGraph device;
+        graph::Graph problem;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {arch::make_custom(32, couplers, "two-grids"),
+         problem::random_graph(24, 0.3, 5),
+         0x7b8657bbcc3edd18ull},
+        {arch::smallest_arch(arch::ArchKind::HeavyHex, 300),
+         problem::random_graph(300, 0.02, 7),
+         0x34f787fb1e96c866ull},
+        {arch::smallest_arch(arch::ArchKind::Sycamore, 300),
+         problem::random_graph(300, 0.02, 7),
+         0x80855e773f9d8aaeull},
+        {arch::smallest_arch(arch::ArchKind::Grid, 300),
+         problem::random_graph(300, 0.02, 7),
+         0x0edfceaabbf983a1ull},
+    };
+    for (const Pin& pin : pins) {
+        // An op-free circuit's fingerprint hashes its whole mapping.
+        auto mapping =
+            connectivity_strength_placement(pin.device, pin.problem);
+        EXPECT_EQ(circuit::fingerprint(circuit::Circuit(mapping)),
+                  pin.hash)
+            << pin.device.name();
+    }
 }
 
 TEST(CrosstalkTest, GridPairsAreParallelAdjacent)

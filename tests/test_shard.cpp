@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arch/coupling_graph.h"
@@ -17,6 +18,7 @@
 #include "circuit/op_arena.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/compiler.h"
 #include "core/shard.h"
 #include "graph/components.h"
@@ -218,6 +220,21 @@ TEST(ShardCompile, DeterministicAcrossThreadCountsAndReruns)
               circuit::fingerprint(parallel2.circuit));
 }
 
+TEST(ShardCompile, MatchesGoldenFingerprint)
+{
+    // The golden hashes in test_compile_determinism.cpp never shard;
+    // this pins one sharded compile end to end: band placement and
+    // compiles, then the stitcher's routes for every cross-band edge.
+    auto device = arch::make_grid(16, 16);
+    auto problem = problem::random_graph(256, 0.02, 12345);
+    core::CompilerOptions options;
+    options.tier = core::CompileTier::Best;
+    options.shard_regions = 4;
+    auto result = core::compile(device, problem, options);
+    ASSERT_EQ(result.selected, "sharded");
+    EXPECT_EQ(circuit::fingerprint(result.circuit), 0x51a0ab1523918746ull);
+}
+
 TEST(ShardCompile, ReportAttributesBandsAndStitch)
 {
     auto device = arch::make_grid(8, 8);
@@ -340,10 +357,11 @@ TEST(BfsOracle, MatchesDenseDistanceMatrix)
         for (std::int32_t v = 0; v < g.num_vertices(); ++v)
             EXPECT_EQ(row[static_cast<std::size_t>(v)], dense.at(u, v));
     }
-    // Early-exit point queries agree too.
-    EXPECT_EQ(oracle.distance(0, g.num_vertices() - 1),
-              dense.at(0, g.num_vertices() - 1));
-    EXPECT_EQ(oracle.distance(3, 3), 0);
+    // Early-exit queries agree at the target too.
+    const std::int32_t last = g.num_vertices() - 1;
+    EXPECT_EQ(oracle.distances_from(0, last)[static_cast<std::size_t>(last)],
+              dense.at(0, last));
+    EXPECT_EQ(oracle.distances_from(3, 3)[3], 0);
 }
 
 TEST(BfsOracle, DisconnectedVerticesAreUnreachable)
@@ -352,8 +370,44 @@ TEST(BfsOracle, DisconnectedVerticesAreUnreachable)
     g.add_edge(0, 1);
     graph::FlatAdjacency adjacency(g);
     graph::BfsOracle oracle(adjacency);
-    EXPECT_EQ(oracle.distance(0, 3), kUnreachable);
-    EXPECT_EQ(oracle.distance(0, 1), 1);
+    EXPECT_EQ(oracle.distances_from(0, 3)[3], kUnreachable);
+    EXPECT_EQ(oracle.distances_from(0, 1)[1], 1);
+}
+
+TEST(BfsOracle, EarlyExitRowIsExactUpToTheTarget)
+{
+    // The stitcher reads only vertices closer to the stationary
+    // endpoint than the mobile one: a BFS stopped at the target must
+    // agree with the full row there, and elsewhere hold the exact
+    // distance or kUnreachable.
+    Xoshiro256 rng(2024);
+    for (const std::string& name : arch::named_devices()) {
+        for (std::int32_t qubits : {64, 300}) {
+            auto device = arch::named_device(name, qubits);
+            graph::FlatAdjacency adjacency(device.connectivity());
+            graph::BfsOracle full(adjacency);
+            graph::BfsOracle early(adjacency);
+            const auto n = static_cast<std::uint64_t>(device.num_qubits());
+            for (int pair = 0; pair < 16; ++pair) {
+                const auto source =
+                    static_cast<std::int32_t>(rng.next_below(n));
+                const auto target =
+                    static_cast<std::int32_t>(rng.next_below(n));
+                const auto& want = full.distances_from(source);
+                const auto& got = early.distances_from(source, target);
+                const std::int32_t bound =
+                    want[static_cast<std::size_t>(target)];
+                for (std::size_t v = 0; v < want.size(); ++v) {
+                    const bool exact = got[v] == want[v];
+                    ASSERT_TRUE(exact || (want[v] > bound &&
+                                          got[v] == kUnreachable))
+                        << name << " " << device.num_qubits() << "q "
+                        << source << "->" << target << " at " << v
+                        << ": " << got[v] << " vs " << want[v];
+                }
+            }
+        }
+    }
 }
 
 TEST(OpArena, PushIndexIterateAndCopy)

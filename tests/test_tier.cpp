@@ -11,8 +11,6 @@
  *    expect_valid() on every regular topology, and falls back to
  *    `balanced` (counting permuq.compile.fast.fallback) on custom
  *    devices that have no ATA pattern;
- *  - the vecops kernels are bit-identical across the scalar and AVX2
- *    tiers, directly and through whole-compile hashes;
  *  - fuzz reproducers round-trip the tier axis.
  */
 #include <gtest/gtest.h>
@@ -25,7 +23,6 @@
 #include "circuit/fingerprint.h"
 #include "common/parallel.h"
 #include "common/telemetry/telemetry.h"
-#include "common/vecops.h"
 #include "core/compiler.h"
 #include "problem/generators.h"
 #include "verify/equivalence.h"
@@ -33,8 +30,6 @@
 
 namespace permuq {
 namespace {
-
-namespace vecops = common::vecops;
 
 std::uint64_t
 compile_hash(arch::ArchKind kind, std::int32_t n, double density,
@@ -251,76 +246,6 @@ TEST(TierTest, FastDepthWithinQualityBound)
         EXPECT_LE(fast.metrics.depth, 1.5 * best.metrics.depth)
             << "arch " << static_cast<int>(kind);
     }
-}
-
-TEST(TierTest, VecopsKernelsBitIdenticalAcrossTiers)
-{
-    if (!vecops::vec_compiled_in() ||
-        vecops::detected_vec_tier() == vecops::VecTier::Scalar)
-        GTEST_SKIP() << "AVX2 tier unavailable on this host";
-    const auto& scalar = vecops::scalar_table();
-    const auto& avx2 = vecops::avx2_table();
-
-    // Deterministic mixed data, lengths straddling vector widths.
-    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-    auto next = [&state] {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
-    for (std::size_t n : {0u, 1u, 7u, 16u, 33u, 255u, 1024u}) {
-        std::vector<std::uint16_t> u16(n);
-        std::vector<std::int32_t> acc_s(n), acc_v(n), scores(n);
-        std::vector<std::uint8_t> skip(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            u16[i] = static_cast<std::uint16_t>(next());
-            acc_s[i] = acc_v[i] = static_cast<std::int32_t>(next() & 0xffff);
-            scores[i] = static_cast<std::int32_t>(next() & 0xfffff);
-            skip[i] = static_cast<std::uint8_t>(next() & 1);
-        }
-        const std::uint16_t sentinel = 0xffff;
-        if (n > 2)
-            u16[n / 2] = sentinel;
-
-        std::int64_t cnt_s = -1, cnt_v = -1;
-        EXPECT_EQ(scalar.sum_u16(u16.data(), n, sentinel, &cnt_s),
-                  avx2.sum_u16(u16.data(), n, sentinel, &cnt_v));
-        EXPECT_EQ(cnt_s, cnt_v);
-
-        scalar.add_u16_to_i32(acc_s.data(), u16.data(), n);
-        avx2.add_u16_to_i32(acc_v.data(), u16.data(), n);
-        EXPECT_EQ(acc_s, acc_v) << "n=" << n;
-
-        EXPECT_EQ(scalar.argmin_masked_i32(scores.data(), skip.data(), n),
-                  avx2.argmin_masked_i32(scores.data(), skip.data(), n))
-            << "n=" << n;
-        // All-masked input: both report no winner.
-        std::fill(skip.begin(), skip.end(), std::uint8_t{1});
-        EXPECT_EQ(scalar.argmin_masked_i32(scores.data(), skip.data(), n),
-                  -1);
-        EXPECT_EQ(avx2.argmin_masked_i32(scores.data(), skip.data(), n),
-                  -1);
-    }
-}
-
-TEST(TierTest, CompileHashIdenticalAcrossVecTiers)
-{
-    if (!vecops::vec_compiled_in() ||
-        vecops::detected_vec_tier() == vecops::VecTier::Scalar)
-        GTEST_SKIP() << "AVX2 tier unavailable on this host";
-    const vecops::VecTier saved = vecops::active_vec_tier();
-    for (core::CompileTier tier :
-         {core::CompileTier::Fast, core::CompileTier::Best}) {
-        vecops::set_vec_tier(vecops::VecTier::Scalar);
-        std::uint64_t hs = compile_hash(arch::ArchKind::Grid, 36, 0.4,
-                                        11, tier);
-        vecops::set_vec_tier(vecops::VecTier::Avx2);
-        std::uint64_t hv = compile_hash(arch::ArchKind::Grid, 36, 0.4,
-                                        11, tier);
-        EXPECT_EQ(hs, hv) << core::tier_name(tier);
-    }
-    vecops::set_vec_tier(saved);
 }
 
 TEST(TierTest, ReproducerRoundTripsTier)

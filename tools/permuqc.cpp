@@ -36,13 +36,13 @@
 #include "common/log/flight_recorder.h"
 #include "common/log/log.h"
 #include "common/telemetry/telemetry.h"
-#include "common/vecops.h"
 #include "core/compiler.h"
 #include "core/plan.h"
 #include "problem/generators.h"
 #include "sim/nelder_mead.h"
 #include "sim/qaoa.h"
 #include "sim/qaoa_objective.h"
+#include "sim/simd.h"
 #include "sim/statevector.h"
 #include "sim/sweep.h"
 
@@ -106,8 +106,7 @@ print_env_knobs(std::FILE* out)
     // `permuqc --version` shows the whole family's configuration.
     tools::print_service_env_knobs(out);
     std::fprintf(out, "  simd tier                   : %s\n",
-                 common::vecops::vec_tier_name(
-                     common::vecops::active_vec_tier()));
+                 sim::simd_tier_name(sim::active_simd_tier()));
 }
 
 void
